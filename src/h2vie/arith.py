@@ -1,7 +1,10 @@
 """Arithmetic on the nested low-rank representation.
 
-Matrix-vector products run in three sweeps (forward transform up the tree,
-coupling products, backward transform down) plus the dense leaf blocks.
+Matrix-vector products run on the block-row layout of H2Matrix: a forward
+sweep up the tree fills one rank-space vector with every cluster's
+coefficients, one product per block row applies the couplings, a backward
+sweep pushes the result down to the leaves, and one product per block row
+adds the near field.
 Formatted addition and multiplication keep the block structure and cluster
 bases of the operands fixed, projecting whatever falls outside them; the
 recursive inverse is built from those two operations and dense leaf
@@ -50,58 +53,36 @@ class SolveReport:
 
 
 def _apply_perm(h2, xp):
-    """Apply the representation to a permuted (n, q) block, permuted result."""
-    tree = h2.tree
-    basis = h2.basis
+    """Apply the representation to a permuted (n, q) block, permuted result.
+
+    All cluster coefficients live in one rank-space block laid out by
+    NestedBasis.schedule(). The forward sweep fills it leaves first, then
+    each parent from its two adjacent children through [T_lo; T_hi]; each
+    block row of couplings adds one product into the output coefficients,
+    the backward sweep pushes them down to the leaves, and each block row of
+    the near field adds one product into the result.
+    """
+    sched = h2.basis.schedule()
     q = xp.shape[1]
-    fwd = {}
     # forward transform: x^c = V_c^T x|_c, children first
-    for level in range(tree.depth - 1, -1, -1):
-        for cid in tree.levels[level]:
-            c = tree.cluster(cid)
-            k = basis.rank(cid)
-            if k == 0:
-                fwd[cid] = np.zeros((0, q), dtype=np.complex128)
-                continue
-            if c.is_leaf:
-                fwd[cid] = basis.leaf_v[cid].T @ xp[c.start:c.stop]
-            else:
-                lo, hi = c.children()
-                t_lo, t_hi = basis.transfers[cid]
-                fwd[cid] = t_lo.T @ fwd[lo] + t_hi.T @ fwd[hi]
-    # coupling products: y^t += S^{t,s} x^s
-    acc = {cid: None for cid in range(len(tree))}
-    for (t, s), smat in h2.coupling.items():
-        if smat.size == 0:
-            continue
-        contrib = smat @ fwd[s]
-        if acc[t] is None:
-            acc[t] = contrib
-        else:
-            acc[t] += contrib
-    # backward transform: push accumulators to children, expand at leaves
+    xr = np.empty((sched.size, q), dtype=np.complex128)
+    for lo, hi, start, stop, v in sched.leaves:
+        np.matmul(v.T, xp[start:stop], out=xr[lo:hi])
+    for lo, hi, c_lo, c_hi, tr in sched.inner:
+        np.matmul(tr.T, xr[c_lo:c_hi], out=xr[lo:hi])
+    # coupling products: y^t += [S^{t,s1} | S^{t,s2} | ...] [x^s1; x^s2; ...]
+    yr = np.zeros_like(xr)
+    for lo, hi, buf, src in h2.far_rows:
+        yr[lo:hi] += buf @ xr[src]
+    # backward transform: parents before children, expand at the leaves
+    for lo, hi, c_lo, c_hi, tr in reversed(sched.inner):
+        yr[c_lo:c_hi] += tr @ yr[lo:hi]
     yp = np.zeros((h2.n, q), dtype=np.complex128)
-    for level in range(tree.depth):
-        for cid in tree.levels[level]:
-            ya = acc[cid]
-            if ya is None:
-                continue
-            c = tree.cluster(cid)
-            if c.is_leaf:
-                yp[c.start:c.stop] += basis.leaf_v[cid] @ ya
-            else:
-                lo, hi = c.children()
-                t_lo, t_hi = basis.transfers[cid]
-                for child, tr in ((lo, t_lo), (hi, t_hi)):
-                    if acc[child] is None:
-                        acc[child] = tr @ ya
-                    else:
-                        acc[child] += tr @ ya
-    # dense inadmissible leaves
-    for (t, s), d in h2.dense.items():
-        ct = tree.cluster(t)
-        cs = tree.cluster(s)
-        yp[ct.start:ct.stop] += d @ xp[cs.start:cs.stop]
+    for lo, hi, start, stop, v in sched.leaves:
+        np.matmul(v, yr[lo:hi], out=yp[start:stop])
+    # near field, one block row per leaf cluster
+    for start, stop, buf, src in h2.near_rows:
+        yp[start:stop] += buf @ xp[src]
     return yp
 
 
@@ -484,7 +465,7 @@ def _mul_into(c, a, b, t, s, r, sign):
 
 def h2_zeros_like(m):
     """Same structure and bases as m, zero couplings and dense leaves."""
-    return H2Matrix(
+    return H2Matrix.blockwise(
         m.tree,
         m.btree,
         m.basis,
@@ -531,7 +512,7 @@ def _fresh_block(m, t, s):
             coupling[key] = np.zeros_like(m.coupling[key])
         else:
             dense[key] = np.zeros_like(m.dense[key])
-    return H2Matrix(m.tree, m.btree, m.basis, coupling, dense, m.params)
+    return H2Matrix.blockwise(m.tree, m.btree, m.basis, coupling, dense, m.params)
 
 
 def _zero_subtree(m, t, s):
@@ -547,7 +528,7 @@ def _invert_rec(m, t):
     kind = m.btree.kind((t, t))
     if kind == cl.INADMISSIBLE:
         try:
-            m.dense[(t, t)] = dense_lu_invert(m.dense[(t, t)])
+            m.dense[(t, t)][...] = dense_lu_invert(m.dense[(t, t)])
         except SingularMatrixError as exc:
             raise SingularLeafError(
                 f"diagonal leaf of cluster {t} is singular: {exc}", t
@@ -568,14 +549,11 @@ def _invert_rec(m, t):
     _mul_into(m, m, x21, lo, hi, lo, -1)  # S11 <- S11^{-1} - S12 X21
 
 
-def h2_invert(m, workspace=None):
+def h2_invert(m):
     """Inverse with the same structure and bases as m (formatted recursion).
 
-    The input is left untouched; a private copy is mutated in place. The
-    optional workspace argument is accepted for interface symmetry but
-    temporaries are managed internally.
+    The input is left untouched; a private copy is mutated in place.
     """
-    del workspace
     inv = m.copy()
     _invert_rec(inv, m.tree.root)
     return inv

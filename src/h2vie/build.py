@@ -10,7 +10,8 @@ children's bases, and each admissible block reduces to a small coupling
 matrix between the two bases. Inadmissible leaf blocks stay dense.
 
 The resulting H2Matrix is immutable in spirit: arithmetic lives in
-h2vie.arith and mutates explicit copies only.
+h2vie.arith and mutates explicit copies only. Its payloads are stored per
+block row (see H2Matrix) so that one product serves a whole row.
 """
 
 from __future__ import annotations
@@ -62,6 +63,22 @@ class ClusterAB:
         return self.b[self.col_offsets[j]:self.col_offsets[j + 1]]
 
 
+@dataclass(frozen=True)
+class SweepSchedule:
+    """Plan of the apply sweeps over one stacked rank-space vector.
+
+    Every cluster's coefficients occupy rows spans[cid] = (lo, hi) of that
+    vector, level by level and left to right within a level, so the spans
+    of two siblings are adjacent and their parent reaches both at once
+    through rows c_lo:c_hi. `inner` lists children before parents.
+    """
+
+    size: int  # total rank over all clusters
+    spans: list  # cid -> (lo, hi) rows in rank space
+    leaves: list  # (lo, hi, start, stop, V) per leaf of nonzero rank
+    inner: list  # (lo, hi, c_lo, c_hi, [T_lo; T_hi]) per non-leaf of nonzero rank
+
+
 class NestedBasis:
     """One shared family of nested cluster bases (leaf V's plus transfers)."""
 
@@ -72,6 +89,7 @@ class NestedBasis:
         self.ranks = {}
         self._mat = {}  # materialization cache
         self._overlap = {}  # V^T V cache (needed by formatted products)
+        self._schedule = None  # apply-sweep cache
 
     def rank(self, cid):
         return self.ranks.get(cid, 0)
@@ -79,10 +97,40 @@ class NestedBasis:
     def set_leaf(self, cid, v):
         self.leaf_v[cid] = v
         self.ranks[cid] = v.shape[1]
+        self._schedule = None
 
     def set_transfer(self, cid, t_lo, t_hi):
         self.transfers[cid] = (t_lo, t_hi)
         self.ranks[cid] = t_lo.shape[1]
+        self._schedule = None
+
+    def schedule(self):
+        """Rank-space layout and sweep steps of the apply, cached."""
+        if self._schedule is not None:
+            return self._schedule
+        tree = self.tree
+        spans = [None] * len(tree)
+        size = 0
+        for level in tree.levels:
+            for cid in level:
+                spans[cid] = (size, size + self.rank(cid))
+                size += self.rank(cid)
+        leaves = []
+        inner = []
+        for level in reversed(tree.levels):
+            for cid in level:
+                if self.rank(cid) == 0:
+                    continue
+                c = tree.cluster(cid)
+                if c.is_leaf:
+                    leaves.append((*spans[cid], c.start, c.stop, self.leaf_v[cid]))
+                    continue
+                lo, hi = c.children()
+                assert spans[lo][1] == spans[hi][0], "siblings must be adjacent"
+                inner.append((*spans[cid], spans[lo][0], spans[hi][1],
+                              np.vstack(self.transfers[cid])))
+        self._schedule = SweepSchedule(size, spans, leaves, inner)
+        return self._schedule
 
     def apply_vh(self, cid, x):
         """V_c^H @ x without materializing non-leaf bases."""
@@ -132,9 +180,48 @@ class NestedBasis:
         return m
 
 
+def _block_rows(blocks, span, pack):
+    """Group (t, s) -> payload blocks by target cluster into apply rows.
+
+    Returns (rows, views). A row (lo, hi, buf, src) adds buf @ x[src] to
+    y[lo:hi], where span(c) is cluster c's (lo, hi) range in x and y. With
+    pack, the blocks of one row are copied side by side into one buffer,
+    src is the matching index array and views maps each block to its view
+    into the buffer. Without pack every block is a row of its own, keeps
+    its array and has a slice as src. Empty blocks join no row.
+    """
+    by_target = {}
+    for (t, s), p in blocks.items():
+        if p.size:
+            by_target.setdefault(t, []).append(s)
+    views = dict(blocks)
+    rows = []
+    for t, sources in by_target.items():
+        if not pack:
+            rows.extend((*span(t), blocks[(t, s)], slice(*span(s))) for s in sources)
+            continue
+        buf = np.concatenate([blocks[(t, s)] for s in sources], axis=1)
+        col = 0
+        for s in sources:
+            width = blocks[(t, s)].shape[1]
+            views[(t, s)] = buf[:, col:col + width]
+            col += width
+        src = np.concatenate([np.arange(*span(s)) for s in sources])
+        rows.append((*span(t), buf, src))
+    return rows, views
+
+
 @dataclass
 class H2Matrix:
-    """Nested-basis representation: couplings on admissible leaves, dense rest."""
+    """Nested-basis representation: couplings on admissible leaves, dense rest.
+
+    The constructor stores the payloads as one buffer per block row (target
+    cluster t): [S_{t,s1} | S_{t,s2} | ...] for the couplings and
+    [D_{t,s1} | D_{t,s2} | ...] for the near field, so one product applies
+    a whole row. `coupling` and `dense` then map each block to its view
+    into that buffer. Payloads are mutated in place only: rebinding a dict
+    entry would detach it from the buffer that the apply reads.
+    """
 
     tree: cl.ClusterTree
     btree: cl.BlockClusterTree
@@ -142,6 +229,33 @@ class H2Matrix:
     coupling: dict  # (t, s) -> (k_t, k_s)
     dense: dict  # (t, s) -> (#t, #s)
     params: CompressionParams
+    far_rows: list = field(init=False, repr=False, compare=False)  # rank space
+    near_rows: list = field(init=False, repr=False, compare=False)  # permuted
+
+    def __post_init__(self):
+        self._index_rows(pack=True)
+
+    @classmethod
+    def blockwise(cls, tree, btree, basis, coupling, dense, params):
+        """Like the constructor, but every payload stays its own array.
+
+        Each block is then a row of its own. Formatted arithmetic adds into
+        its targets block by block, which is fastest on contiguous arrays,
+        so the copies and accumulators in h2vie.arith are made this way.
+        """
+        m = cls.__new__(cls)
+        m.tree, m.btree, m.basis, m.params = tree, btree, basis, params
+        m.coupling, m.dense = coupling, dense
+        m._index_rows(pack=False)
+        return m
+
+    def _index_rows(self, pack):
+        spans = self.basis.schedule().spans
+        self.far_rows, self.coupling = _block_rows(
+            self.coupling, spans.__getitem__, pack)
+        clusters = self.tree.clusters
+        self.near_rows, self.dense = _block_rows(
+            self.dense, lambda c: (clusters[c].start, clusters[c].stop), pack)
 
     @property
     def n(self):
@@ -152,8 +266,8 @@ class H2Matrix:
         return (self.n, self.n)
 
     def copy(self):
-        """Structure-sharing copy with private leaf payloads (for inversion)."""
-        return H2Matrix(
+        """Structure-sharing copy with private contiguous per-block payloads."""
+        return H2Matrix.blockwise(
             self.tree,
             self.btree,
             self.basis,

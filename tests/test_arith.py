@@ -86,6 +86,59 @@ class TestMatmat:
         )
 
 
+@pytest.fixture(scope="module")
+def slab400():
+    """2 x 2 wavelength slab, N = 400."""
+    geom = kernel.generate_geometry("slab", [2.0, 2.0], 10, K0)
+    kp = kernel.KernelParams(k0=K0)
+    return build.build_h2(geom, kp, CompressionParams(1e-4, 1e-4), n_min=32)
+
+
+def _row_pairs(blocks):
+    """Pairs of distinct blocks that share a target cluster."""
+    by_target = {}
+    for (t, s), p in blocks.items():
+        if p.size:
+            by_target.setdefault(t, []).append(p)
+    return [(row[0], row[1]) for row in by_target.values() if len(row) > 1]
+
+
+class TestBlockRows:
+    def test_apply_matches_materialized(self, slab400, cube2, rng):
+        for h2 in (slab400, cube2[2]):
+            x = rng.standard_normal((h2.n, 3)) + 1j * rng.standard_normal((h2.n, 3))
+            exact = build.materialize(h2) @ x
+            scale = np.linalg.norm(exact)
+            assert np.linalg.norm(matmat_apply(h2, x) - exact) <= 1e-12 * scale
+            assert np.linalg.norm(matvec(h2, x[:, 0]) - exact[:, 0]) <= 1e-12 * scale
+
+    def test_in_place_change_through_view_is_applied(self, rng):
+        geom = kernel.generate_geometry("rod", [16.4], 10, K0)
+        h2 = build.build_h2(geom, kernel.KernelParams(k0=K0),
+                            CompressionParams(1e-4, 1e-4), n_min=16)
+        x = _cvec(rng, h2.n)
+        before = matvec(h2, x)
+        h2.dense[(h2.tree.leaves()[0], h2.tree.leaves()[1])] *= 2.0
+        h2.coupling[next(k for k, s in h2.coupling.items() if s.size)] *= -1.0
+        ref = build.materialize(h2) @ x
+        after = matvec(h2, x)
+        assert np.linalg.norm(after - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(after - before) > 1e-3 * np.linalg.norm(ref)
+
+    def test_build_shares_one_buffer_per_row(self, slab400):
+        for blocks in (slab400.coupling, slab400.dense):
+            pairs = _row_pairs(blocks)
+            assert pairs
+            assert all(a.base is not None and a.base is b.base for a, b in pairs)
+
+    def test_arithmetic_results_are_contiguous_per_block(self, rod164):
+        _, _, h2, _ = rod164
+        for m in (h2.copy(), h2_zeros_like(h2), h2_invert(h2)):
+            for blocks in (m.coupling, m.dense):
+                assert all(p.flags.c_contiguous for p in blocks.values())
+                assert not any(np.may_share_memory(a, b) for a, b in _row_pairs(blocks))
+
+
 class TestFormattedAdd:
     def test_adding_zero_changes_nothing(self, rod164):
         _, _, h2, _ = rod164
