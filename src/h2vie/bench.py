@@ -2,10 +2,10 @@
 
 Every runner returns the records it wrote so tests can assert on them
 without re-parsing the CSV. Timing columns are wall-clock and therefore
-not reproducible; everything else is deterministic for a fixed seed,
-config and kernel backend. Reported memory is the representation's own
-storage footprint (bases + transfers + couplings + dense leaves), not
-process RSS, so it is exact and machine-independent.
+not reproducible; everything else is deterministic for a fixed seed and
+config. Reported memory is the representation's own storage footprint
+(bases + transfers + couplings + dense leaves), not process RSS, so it is
+exact and machine-independent.
 """
 
 from __future__ import annotations

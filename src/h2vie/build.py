@@ -1,8 +1,9 @@
 """Two-stage construction of the nested low-rank matrix representation.
 
 Stage I compresses, for every cluster, the horizontal concatenation of all
-admissible blocks it owns into a single A @ B.T factor (cross approximation
-followed by an SVD trim). Stage II turns those factors into one shared
+admissible blocks it owns into a single A @ B.T factor (sampled whole and
+truncated through its Gram matrix on leaves, cross approximation followed
+by an SVD trim above them). Stage II turns those factors into one shared
 family of orthonormal cluster bases: leaf bases come from an accuracy-
 truncated eigendecomposition of the per-cluster Gram matrix, non-leaf bases
 are expressed through transfer matrices after projecting the Gram onto the
@@ -28,6 +29,7 @@ from .linalg import (
     aca_factorize,
     recompress_lowrank,
     trunc_eig_hermitian,
+    truncate_via_gram,
 )
 
 
@@ -302,7 +304,16 @@ class H2Matrix:
 
 
 def build_all_cluster_ab(tree, btree, oracle, params):
-    """Stage I: one grouped A @ B.T factor per cluster owning admissible blocks."""
+    """Stage I: one grouped A @ B.T factor per cluster owning admissible blocks.
+
+    The grouped block of cluster t is M_t = [S_{t,s1} | S_{t,s2} | ...]
+    over its admissible partners. A leaf has at most n_min rows, so M_t is
+    sampled whole in one oracle call and truncated through its small Gram
+    matrix (linalg.truncate_via_gram). A non-leaf M_t is too large to
+    sample: it is cross-approximated from single rows and columns
+    (aca_factorize) and trimmed by recompress_lowrank. Either way a rank
+    over params.max_rank raises ClusterCompressionError.
+    """
     out = {}
     for c in tree.clusters:
         partners = btree.partners.get(c.id, [])
@@ -322,17 +333,25 @@ def build_all_cluster_ab(tree, btree, oracle, params):
         np.cumsum([b.size for b in col_blocks], out=offsets[1:])
         cols = np.concatenate(col_blocks)
 
-        def block(ri, ci, rows=rows, cols=cols):
-            return oracle(rows[ri], cols[ci])
+        if c.is_leaf:
+            f = truncate_via_gram(oracle(rows, cols), params.eps_acc)
+            if f.rank > params.max_rank:
+                raise ClusterCompressionError(
+                    f"cluster {c.id}: leaf rank {f.rank} exceeds max_rank "
+                    f"{params.max_rank}", c.id
+                )
+        else:
+            def block(ri, ci, rows=rows, cols=cols):
+                return oracle(rows[ri], cols[ci])
 
-        try:
-            f = aca_factorize(block, (rows.size, cols.size), params.eps_aca,
-                              min(params.max_rank, rows.size, cols.size))
-        except AcaRankExceeded as exc:
-            raise ClusterCompressionError(
-                f"cluster {c.id}: {exc}", c.id
-            ) from exc
-        f = recompress_lowrank(f, params.eps_acc)
+            try:
+                f = aca_factorize(block, (rows.size, cols.size), params.eps_aca,
+                                  min(params.max_rank, rows.size, cols.size))
+            except AcaRankExceeded as exc:
+                raise ClusterCompressionError(
+                    f"cluster {c.id}: {exc}", c.id
+                ) from exc
+            f = recompress_lowrank(f, params.eps_acc)
         out[c.id] = ClusterAB(
             c.id, f.a, f.b, list(partners), offsets, f.b.T @ f.b.conj()
         )
@@ -432,11 +451,29 @@ def build_h2(geom, kparams, cparams=None, n_min=32, eta=1.0):
     abs_map = build_all_cluster_ab(tree, btree, oracle, cparams)
     basis = build_bases(tree, abs_map, cparams)
     coupling = build_coupling(btree, abs_map, basis, tree)
-    dense = {
-        (t, s): oracle(tree.indices(t), tree.indices(s))
-        for t, s in btree.inadmissible
-    }
+    dense = _near_field(tree, btree, oracle)
     return H2Matrix(tree, btree, basis, coupling, dense, cparams)
+
+
+def _near_field(tree, btree, oracle):
+    """Dense inadmissible leaves, sampled one block row per oracle call.
+
+    Returns (t, s) -> (#t, #s) views into the row [S_{t,s1} | S_{t,s2} | ...],
+    keyed in btree.inadmissible order. The oracle computes every entry on
+    its own, so each view equals oracle(indices(t), indices(s)) bit for bit.
+    """
+    by_target = {}
+    for t, s in btree.inadmissible:
+        by_target.setdefault(t, []).append(s)
+    dense = {}
+    for t, sources in by_target.items():
+        col_blocks = [tree.indices(s) for s in sources]
+        row = oracle(tree.indices(t), np.concatenate(col_blocks))
+        col = 0
+        for s, idx in zip(sources, col_blocks):
+            dense[(t, s)] = row[:, col:col + idx.size]
+            col += idx.size
+    return dense
 
 
 def materialize(h2):

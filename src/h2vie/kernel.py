@@ -9,35 +9,24 @@ m != n, and the diagonal regularized by integrating the kernel over the
 equal-volume sphere. chi = eps_r - 1 is the material contrast. The entry
 oracle is pure, so blocks can be sampled concurrently.
 
-Block assembly dispatches to a compiled extension when present; set
-H2VIE_PURE_PYTHON=1 to force the numpy fallback.
+Blocks are assembled by one numpy kernel. `entry_oracle` binds it to a
+geometry and material once (per-axis coordinates, contrast, coefficient
+and diagonal coupling), and `assemble_block` goes through the same
+closure. Every entry is computed elementwise, so its value does not depend
+on the shape of the block it is sampled in: a block row equals its blocks
+side by side, bit for bit.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-if os.environ.get("H2VIE_PURE_PYTHON"):
-    from . import _kernel_numpy as _backend
-
-    _BACKEND_NAME = "numpy"
-else:
-    try:
-        from . import _kernel_core as _backend  # type: ignore[no-redef]
-
-        _BACKEND_NAME = "compiled"
-    except ImportError:
-        from . import _kernel_numpy as _backend  # type: ignore[no-redef]
-
-        _BACKEND_NAME = "numpy"
-
 
 def backend_name():
-    """Which block-assembly backend was selected at import: compiled | numpy."""
-    return _BACKEND_NAME
+    """Name of the block-assembly implementation; there is one: numpy."""
+    return "numpy"
 
 
 class CoincidentCentersError(ValueError):
@@ -187,27 +176,58 @@ def _diag_coupling(geom, params):
     return params.k0**2 * self_term(geom.voxel_volume, params.k0)
 
 
+def entry_oracle(geom, params):
+    """(rows, cols) -> dense block sampler bound to one geometry/material.
+
+    Everything that depends on the geometry and material only (coordinates
+    per axis, contrast, k0^2 V / 4 pi, the diagonal coupling) is computed
+    here once, so a call costs the block's arithmetic and little else.
+    Raises CoincidentCentersError naming the first pair of distinct voxels
+    that share a center.
+    """
+    xyz = np.ascontiguousarray(geom.centers.T)  # (3, N): one row per axis
+    chi = params.chi(geom.n)
+    k0 = float(params.k0)
+    coef = k0 * k0 * float(geom.voxel_volume) / (4.0 * np.pi)
+    diag = complex(_diag_coupling(geom, params))
+
+    def oracle(rows, cols):
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        r = np.subtract.outer(xyz[0, rows], xyz[0, cols])
+        r *= r
+        d = np.empty_like(r)
+        for axis in (1, 2):
+            np.subtract.outer(xyz[axis, rows], xyz[axis, cols], out=d)
+            d *= d
+            r += d
+        np.sqrt(r, out=r)
+        zero = r == 0.0
+        hit = zero.any()
+        if hit:
+            bad = zero & (rows[:, None] != cols[None, :])
+            if bad.any():
+                i, j = divmod(int(np.flatnonzero(bad)[0]), cols.size)
+                raise CoincidentCentersError(
+                    f"voxels {rows[i]} and {cols[j]} share a center; kernel singular"
+                )
+            r[zero] = 1.0  # diagonal entries, overwritten below
+        out = np.exp(r * (-1j * k0))
+        np.divide(coef, r, out=r)
+        out *= r
+        chi_c = chi[cols]
+        out *= -chi_c
+        if hit:
+            i, j = np.nonzero(zero)
+            out[i, j] = 1.0 - chi_c[j] * diag
+        return out
+
+    return oracle
+
+
 def assemble_block(geom, params, rows, cols):
-    """Dense sub-block S[rows][:, cols]; the sampling oracle's hot path."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    cols = np.ascontiguousarray(cols, dtype=np.int64)
-    out = np.empty((rows.size, cols.size), dtype=np.complex128)
-    bad = _backend.assemble_block_raw(
-        geom.centers,
-        params.chi(geom.n),
-        float(params.k0),
-        float(geom.voxel_volume),
-        complex(_diag_coupling(geom, params)),
-        rows,
-        cols,
-        out,
-    )
-    if bad >= 0:
-        i, j = divmod(bad, cols.size)
-        raise CoincidentCentersError(
-            f"voxels {rows[i]} and {cols[j]} share a center; kernel singular"
-        )
-    return out
+    """Dense sub-block S[rows][:, cols], through a fresh entry_oracle."""
+    return entry_oracle(geom, params)(rows, cols)
 
 
 def matrix_entry(m, n, geom, params):
@@ -215,15 +235,6 @@ def matrix_entry(m, n, geom, params):
     return complex(
         assemble_block(geom, params, np.array([m]), np.array([n]))[0, 0]
     )
-
-
-def entry_oracle(geom, params):
-    """(rows, cols) -> dense block sampler bound to one geometry/material."""
-
-    def oracle(rows, cols):
-        return assemble_block(geom, params, rows, cols)
-
-    return oracle
 
 
 def assemble_dense(geom, params, cap=6000):

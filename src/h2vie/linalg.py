@@ -1,9 +1,10 @@
 """Dense complex linear-algebra primitives.
 
 Adaptive cross approximation of sampled blocks, SVD-based recompression of
-low-rank factors, accuracy-truncated Hermitian eigendecomposition of Gram
-matrices, and a pivoted dense inverse. Everything works on complex128
-numpy arrays and is pure (no hidden state), so concurrent calls are safe.
+low-rank factors, Gram-based truncation of small dense blocks,
+accuracy-truncated Hermitian eigendecomposition of Gram matrices, and a
+pivoted dense inverse. Everything works on complex128 numpy arrays and is
+pure (no hidden state), so concurrent calls are safe.
 """
 
 from __future__ import annotations
@@ -94,8 +95,12 @@ def aca_factorize(oracle, shape, eps_aca, max_rank=None):
     the terminating cross is not appended, so an exactly rank-r block comes
     back with rank r.
 
-    Raises AcaRankExceeded (partial factorization attached) if max_rank
-    crosses are accumulated without meeting the stopping rule.
+    The crosses live in preallocated (m, cap) and (n, cap) arrays, so each
+    residual row or column is one GEMV against the factors so far and the
+    Frobenius cross term is two more; no Python loop runs over the crosses.
+
+    Raises AcaRankExceeded (a copy of the partial factorization attached)
+    if max_rank crosses are accumulated without meeting the stopping rule.
     """
     m, n = shape
     if m <= 0 or n <= 0:
@@ -107,21 +112,23 @@ def aca_factorize(oracle, shape, eps_aca, max_rank=None):
 
     all_cols = np.arange(n)
     all_rows = np.arange(m)
-    a_cols, b_cols = [], []
+    a_buf = np.empty((m, cap), dtype=np.complex128)
+    b_buf = np.empty((n, cap), dtype=np.complex128)
+    k = 0  # crosses accepted so far: a_buf[:, :k] @ b_buf[:, :k].T
     used_rows = np.zeros(m, dtype=bool)
     used_cols = np.zeros(n, dtype=bool)
     fro2 = 0.0  # running ||M_k||_F^2 estimate
     next_row = 0
 
     while True:
+        a, b = a_buf[:, :k], b_buf[:, :k]
         # residual row at the pivot row; skip rows that are already resolved
         row = None
         while next_row is not None:
             i = next_row
             used_rows[i] = True
             r = np.asarray(oracle(np.array([i]), all_cols), dtype=np.complex128).ravel()
-            for ac, bc in zip(a_cols, b_cols):
-                r -= ac[i] * bc
+            r -= b @ a[i]
             r[used_cols] = 0.0
             if np.any(r != 0.0):
                 row = r
@@ -136,32 +143,30 @@ def aca_factorize(oracle, shape, eps_aca, max_rank=None):
         used_cols[j] = True
         b_new = row / pivot
 
-        c = np.asarray(oracle(all_rows, np.array([j])), dtype=np.complex128).ravel()
-        for ac, bc in zip(a_cols, b_cols):
-            c -= bc[j] * ac
-        a_new = c
+        a_new = np.asarray(oracle(all_rows, np.array([j])), dtype=np.complex128).ravel()
+        a_new -= a @ b[j]
 
         # incremental Frobenius update:
         # ||M_k||^2 = ||M_{k-1}||^2 + ||a||^2 ||b||^2 + 2 Re sum_i (a_i^H a)(b_i^H b)
+        # where conj(a_i^H a) = (A^T conj(a))_i: conjugating the new vector
+        # avoids copying the factors
         na2 = float(np.real(np.vdot(a_new, a_new)))
         nb2 = float(np.real(np.vdot(b_new, b_new)))
-        cross = 0.0
-        for ac, bc in zip(a_cols, b_cols):
-            cross += np.real(np.vdot(ac, a_new) * np.vdot(bc, b_new))
-        fro2_new = fro2 + na2 * nb2 + 2.0 * cross
-        fro2_new = max(fro2_new, 0.0)
+        cross = float(np.real((a.T @ a_new.conj()) @ (b.T @ b_new.conj())))
+        fro2_new = max(fro2 + na2 * nb2 + 2.0 * cross, 0.0)
 
         if na2 * nb2 <= eps_aca**2 * fro2_new:
             break  # converged; terminating cross is negligible, drop it
 
-        a_cols.append(a_new)
-        b_cols.append(b_new)
+        a_buf[:, k] = a_new
+        b_buf[:, k] = b_new
+        k += 1
         fro2 = fro2_new
 
-        if len(a_cols) >= full:
+        if k >= full:
             break  # factorization is complete at full rank
-        if len(a_cols) >= cap:
-            partial = LowRankFactor(np.array(a_cols).T, np.array(b_cols).T)
+        if k >= cap:
+            partial = LowRankFactor(a_buf[:, :k].copy(), b_buf[:, :k].copy())
             raise AcaRankExceeded(
                 f"ACA stalled at rank cap {cap} (block {m}x{n})", partial
             )
@@ -173,9 +178,7 @@ def aca_factorize(oracle, shape, eps_aca, max_rank=None):
             free = np.flatnonzero(~used_rows)
             next_row = int(free[0]) if free.size else None
 
-    if not a_cols:
-        return _empty_factor(m, n)
-    return LowRankFactor(np.array(a_cols).T, np.array(b_cols).T)
+    return LowRankFactor(a_buf[:, :k].copy(), b_buf[:, :k].copy())
 
 
 # headroom inside the truncation threshold: the cross-approximation error
@@ -229,6 +232,23 @@ def trunc_eig_hermitian(g, eps_acc, herm_tol=1e-12):
     keep = np.sqrt(lam / lam[0]) > eps_acc
     k = int(np.sum(keep))
     return np.ascontiguousarray(vec[:, :k]), k
+
+
+def truncate_via_gram(mat, eps_acc):
+    """Accuracy-truncated factor of a dense block with few rows.
+
+    Keeps the eigenvectors U_k of the (m, m) Gram matrix M M^H with
+    lambda_i > (0.75 * eps_acc)^2 * lambda_1, the ratio rule of
+    recompress_lowrank stated for squared singular values, and returns
+    a = U_k, b = M^T conj(U_k), so that a @ b.T = U_k U_k^H M. For a short,
+    wide block the Gram eigendecomposition costs far less than an SVD of M
+    itself. The eigenvalues resolve singular values down to about
+    1e-8 * sigma_1 only: a smaller eps_acc is met only to about that level,
+    and the rank then also counts round-off directions.
+    """
+    mat = np.asarray(mat, dtype=np.complex128)
+    u, _ = trunc_eig_hermitian(mat @ mat.conj().T, _TRUNC_SAFETY * eps_acc)
+    return LowRankFactor(u, mat.T @ u.conj())
 
 
 def dense_lu_invert(m):

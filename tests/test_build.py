@@ -68,6 +68,73 @@ class TestStageOne:
                 assert np.allclose(ab.btb, ab.b.T @ ab.b.conj())
 
 
+class TestStageOneLeaves:
+    """Leaf clusters are sampled whole and truncated through their Gram matrix."""
+
+    def test_one_oracle_call_per_leaf_with_partners(self):
+        geom, kp, oracle, tree, btree, params = _rod_setup(32.8)
+        calls = []
+
+        def counting(rows, cols):
+            calls.append((np.array(rows), np.array(cols)))
+            return oracle(rows, cols)
+
+        build.build_all_cluster_ab(tree, btree, counting, params)
+        leaves = [cid for cid in tree.leaves() if cid in btree.partners]
+        assert leaves
+        for cid in leaves:
+            rows = tree.indices(cid)
+            cols = np.concatenate([tree.indices(s) for s in btree.partners[cid]])
+            assert sum(np.array_equal(r, rows) and np.array_equal(c, cols)
+                       for r, c in calls) == 1
+        # every other call is one ACA row or column of a non-leaf cluster
+        assert sum(r.size > 1 and c.size > 1 for r, c in calls) == len(leaves)
+
+    def test_leaf_factor_within_eps_of_dense_concatenation(self):
+        for length, eps in ((16.4, 1e-5), (32.8, 1e-3)):
+            geom, kp, oracle, tree, btree, params = _rod_setup(length, eps=eps)
+            abs_map = build.build_all_cluster_ab(tree, btree, oracle, params)
+            checked = 0
+            for cid in tree.leaves():
+                if cid not in btree.partners:
+                    continue
+                rows = tree.indices(cid)
+                cols = np.concatenate([tree.indices(s) for s in btree.partners[cid]])
+                dense = oracle(rows, cols)
+                ab = abs_map[cid]
+                err = np.linalg.norm(ab.a @ ab.b.T - dense) / np.linalg.norm(dense)
+                assert err <= params.eps_acc
+                assert ab.rank < rows.size  # truncation did cut
+                checked += 1
+            assert checked > 0
+
+    def test_leaf_rank_over_max_rank_names_the_cluster(self):
+        geom, kp, oracle, tree, btree, params = _rod_setup(16.4)
+        # keep the leaf partners only, so no non-leaf ACA can fail first
+        leaf_only = cl.BlockClusterTree(btree.eta)
+        leaf_only.partners = {t: ps for t, ps in btree.partners.items()
+                              if tree.cluster(t).is_leaf}
+        first = next(c.id for c in tree.clusters if c.id in leaf_only.partners)
+        tight = CompressionParams(params.eps_aca, params.eps_acc, max_rank=1)
+        with pytest.raises(build.ClusterCompressionError) as exc_info:
+            build.build_all_cluster_ab(tree, leaf_only, oracle, tight)
+        assert exc_info.value.cluster_id == first
+        assert f"cluster {first}:" in str(exc_info.value)
+
+
+class TestNearField:
+    def test_dense_leaves_equal_per_block_calls(self, rod164, cube2):
+        for geom, kp, h2, _ in (rod164, cube2):
+            oracle = kernel.entry_oracle(geom, kp)
+            tree = h2.tree
+            assert list(h2.dense) == h2.btree.inadmissible
+            for (t, s), d in h2.dense.items():
+                assert np.array_equal(d, oracle(tree.indices(t), tree.indices(s)))
+        # the rod's leaf rows hold several blocks, so the views are slices
+        targets = [t for t, _ in rod164[2].btree.inadmissible]
+        assert len(set(targets)) < len(targets)
+
+
 class TestBases:
     def test_empty_everywhere_gives_zero_rank(self):
         # single-leaf tree: no admissible blocks at all

@@ -195,3 +195,62 @@ class TestAssembleDense:
         params_p = kernel.KernelParams(k0=K0, eps_r=eps[perm])
         s_p = kernel.assemble_dense(geom_p, params_p)
         assert np.array_equal(s_p, s[np.ix_(perm, perm)])
+
+
+class TestEntryOracle:
+    def test_oracle_and_assemble_block_agree_bitwise(self, rng):
+        geom = kernel.generate_geometry("cube_array", [2, 2, 1], 10, K0)
+        params = kernel.KernelParams(k0=K0, eps_r=2.54 - 0.05j)
+        oracle = kernel.entry_oracle(geom, params)
+        rows = rng.choice(geom.n, size=40, replace=False)
+        cols = np.concatenate([rows[:10], rng.choice(geom.n, size=30, replace=False)])
+        assert np.array_equal(oracle(rows, cols),
+                              kernel.assemble_block(geom, params, rows, cols))
+        full = np.arange(geom.n)
+        assert np.array_equal(oracle(full, full), kernel.assemble_dense(geom, params))
+
+    def test_ragged_samples_match_closed_form(self, rng):
+        geom = kernel.generate_geometry("slab", [1.0, 0.8], 10, K0)
+        eps = 2.0 + rng.random(geom.n) - 0.1j * rng.random(geom.n)
+        params = kernel.KernelParams(k0=K0, eps_r=eps)
+        # repeated indices, and rows that hit the diagonal more than once
+        rows = np.array([3, 3, 17, 0, 79, 17, 42])
+        cols = np.array([17, 3, 3, 79, 17, 0, 42, 42, 5])
+        got = kernel.entry_oracle(geom, params)(rows, cols)
+        assert got.shape == (rows.size, cols.size)
+        vol = geom.voxel_volume
+        diag = K0**2 * kernel.self_term(vol, K0)
+        for i, m in enumerate(rows):
+            for j, n in enumerate(cols):
+                chi = eps[n] - 1.0
+                if m == n:
+                    want = 1.0 - chi * diag
+                else:
+                    r = np.linalg.norm(geom.centers[m] - geom.centers[n])
+                    want = -K0**2 * chi * vol * np.exp(-1j * K0 * r) / (4 * np.pi * r)
+                assert got[i, j] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_row_of_blocks_equals_the_blocks_bitwise(self, rng):
+        geom = kernel.generate_geometry("slab", [1.0, 1.0], 10, K0)
+        oracle = kernel.entry_oracle(geom, kernel.KernelParams(k0=K0))
+        rows = rng.permutation(geom.n)[:13]
+        parts = [rng.permutation(geom.n)[:w] for w in (1, 7, 32)]
+        whole = oracle(rows, np.concatenate(parts))
+        col = 0
+        for cols in parts:
+            assert np.array_equal(whole[:, col:col + cols.size], oracle(rows, cols))
+            col += cols.size
+        for i in range(rows.size):
+            assert np.array_equal(whole[i:i + 1], oracle(rows[i:i + 1], np.concatenate(parts)))
+
+    def test_coincident_pair_names_the_voxels(self):
+        geom = kernel.VoxelGeometry(
+            np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]]), 1e-3, "rod"
+        )
+        geom.centers[2] = geom.centers[1]  # bypass the constructor's check
+        oracle = kernel.entry_oracle(geom, kernel.KernelParams(k0=K0))
+        assert oracle([0, 1], [0, 1]).shape == (2, 2)  # diagonal hits are fine
+        with pytest.raises(kernel.CoincidentCentersError, match="voxels 1 and 2 "):
+            oracle([0, 1, 2], [2, 0])
+        with pytest.raises(kernel.CoincidentCentersError, match="voxels 2 and 1 "):
+            oracle([2], [0, 1])

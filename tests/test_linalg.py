@@ -15,6 +15,7 @@ from h2vie.linalg import (
     dense_lu_invert,
     recompress_lowrank,
     trunc_eig_hermitian,
+    truncate_via_gram,
 )
 
 
@@ -75,6 +76,9 @@ class TestAca:
         with pytest.raises(AcaRankExceeded) as exc_info:
             aca_factorize(dense_oracle(m), m.shape, 1e-12, max_rank=5)
         assert exc_info.value.partial.rank == 5
+        # the partial factor owns its arrays, no view into the working buffers
+        assert exc_info.value.partial.a.flags.owndata
+        assert exc_info.value.partial.b.flags.owndata
 
     def test_full_rank_small_block_terminates(self, rng):
         m = _random_complex(rng, (6, 6))
@@ -148,6 +152,28 @@ class TestRecompress:
         f = LowRankFactor(_random_complex(rng, (m, k)), _random_complex(rng, (n, k)))
         once = recompress_lowrank(f, 1e-3)
         assert recompress_lowrank(once, 1e-3).rank == once.rank
+
+
+class TestTruncateViaGram:
+    def test_low_rank_block_is_reproduced(self, rng):
+        m = _random_complex(rng, (12, 3)) @ _random_complex(rng, (3, 90))
+        f = truncate_via_gram(m, 1e-6)
+        assert f.rank == 3
+        assert np.allclose(f.a.conj().T @ f.a, np.eye(3), atol=1e-12)
+        assert np.linalg.norm(f.to_dense() - m) <= 1e-10 * np.linalg.norm(m)
+
+    def test_ratio_rule_matches_recompress(self):
+        # singular values 1, 1e-2, 1e-4, 1e-6: eps 1e-3 keeps sigma > 7.5e-4
+        u, _ = np.linalg.qr(np.eye(4) + 0.1j)
+        v, _ = np.linalg.qr(np.arange(40.0).reshape(10, 4) ** 0.5 + 1.0)
+        m = (u * np.array([1.0, 1e-2, 1e-4, 1e-6])) @ v.T
+        f = truncate_via_gram(m, 1e-3)
+        g = recompress_lowrank(LowRankFactor(m, np.eye(10)), 1e-3)
+        assert f.rank == g.rank == 2
+
+    def test_zero_block_gives_empty_factor(self):
+        f = truncate_via_gram(np.zeros((5, 7), dtype=complex), 1e-4)
+        assert f.a.shape == (5, 0) and f.b.shape == (7, 0)
 
 
 class TestTruncEig:
