@@ -98,16 +98,19 @@ def matvec(h2, x):
     return y
 
 
-def matmat_apply(h2, rhs_block, col_block=256):
+_COL_BLOCK = 256
+
+
+def matmat_apply(h2, rhs_block):
     """Apply to an (n, q) dense block, column-chunked for cache friendliness."""
     rhs_block = np.asarray(rhs_block, dtype=np.complex128)
     if rhs_block.ndim != 2 or rhs_block.shape[0] != h2.n:
         raise ValueError(f"expected ({h2.n}, q) block")
     perm = h2.tree.perm
     out = np.empty_like(rhs_block)
-    for j0 in range(0, rhs_block.shape[1], col_block):
-        chunk = rhs_block[perm, j0:j0 + col_block]
-        out[perm, j0:j0 + col_block] = _apply_perm(h2, chunk)
+    for j0 in range(0, rhs_block.shape[1], _COL_BLOCK):
+        chunk = rhs_block[perm, j0:j0 + _COL_BLOCK]
+        out[perm, j0:j0 + _COL_BLOCK] = _apply_perm(h2, chunk)
     return out
 
 
@@ -140,15 +143,18 @@ def h2_add_formatted(target, addend, sign=1):
 # ---------------------------------------------------------------------------
 #
 # The triple recursion below walks (t, s, r) with (t, s) a block of A and
-# (s, r) a block of B, accumulating A[t,s] @ B[s,r] into C[t,r]. Leaf-form
-# operands collapse to one of four payload shapes:
-#   admissible   S            meaning V_t S V_r^T
-#   left  half   W            meaning V_t W
-#   right half   U            meaning U V_r^T
-#   dense        D
-# which a single placement routine projects into C's structure (splitting
-# through transfer matrices on the way down, or V^H ... conj(V) projections
-# into coupling leaves). Only those projections are lossy; splits are exact.
+# (s, r) a block of B, accumulating A[t,s] @ B[s,r] into C[t,r]. Every
+# operand leaf and every contribution is a triple (core, left, right) that
+# means L core R^T, with L = V_t if left else I and R = V_r if right else I:
+# an admissible leaf is (S, True, True), a dense one (D, False, False).
+# A product keeps the outer side of each factor, so the rules go side by
+# side: the inner cluster s is contracted through V_s^T V_s, V_s^T, V_s or
+# nothing, and a subdivided operand is reduced through its basis-projected
+# family when the side facing it is a basis and applied directly when not.
+# Placement then projects each non-basis side onto a coupling target
+# (V_t^H on the left, conj(V_r) on the right), expands each basis side into
+# a dense target, and splits through the transfer matrices on the way down.
+# Only those projections are lossy; splits are exact.
 
 
 def _children_or_self(tree, cid):
@@ -164,68 +170,45 @@ def _child_transfer(basis, tree, parent, child):
     return t_lo if child == tree.cluster(parent).child_lo else t_hi
 
 
-def _block_apply(m, t, s, x):
-    """Sub-block product M[t,s] @ x for an (t, s) node of the block tree."""
+def _block_apply(m, t, s, x, trans=False):
+    """Sub-block product M[t,s] @ x for an (t, s) node of the block tree.
+
+    With trans the product is M[t,s]^T @ x instead, x having #t rows; the
+    formatted product uses it to right-multiply a dense block as (M^T D^T)^T.
+    """
     kind = m.btree.kind((t, s))
     tree = m.tree
+    u, v = (s, t) if trans else (t, s)  # clusters of the output and input rows
     if kind == cl.INADMISSIBLE:
-        return m.dense[(t, s)] @ x
+        d = m.dense[(t, s)]
+        return (d.T if trans else d) @ x
     if kind == cl.ADMISSIBLE:
         smat = m.coupling[(t, s)]
         if smat.size == 0:
-            return np.zeros((tree.cluster(t).size, x.shape[1]), dtype=np.complex128)
-        return m.basis.materialize(t) @ (smat @ (m.basis.materialize(s).T @ x))
-    out = np.zeros((tree.cluster(t).size, x.shape[1]), dtype=np.complex128)
-    t0 = tree.cluster(t).start
-    s0 = tree.cluster(s).start
+            return np.zeros((tree.cluster(u).size, x.shape[1]), dtype=np.complex128)
+        smat = smat.T if trans else smat
+        return m.basis.materialize(u) @ (smat @ (m.basis.materialize(v).T @ x))
+    out = np.zeros((tree.cluster(u).size, x.shape[1]), dtype=np.complex128)
+    u0 = tree.cluster(u).start
+    v0 = tree.cluster(v).start
     for ti in _children_or_self(tree, t):
-        rt = tree.cluster(ti)
         for sj in _children_or_self(tree, s):
-            rs = tree.cluster(sj)
-            out[rt.start - t0:rt.stop - t0] += _block_apply(
-                m, ti, sj, x[rs.start - s0:rs.stop - s0]
+            cu = tree.cluster(sj if trans else ti)
+            cv = tree.cluster(ti if trans else sj)
+            out[cu.start - u0:cu.stop - u0] += _block_apply(
+                m, ti, sj, x[cv.start - v0:cv.stop - v0], trans
             )
     return out
-
-
-def _block_apply_t(m, t, s, x):
-    """Transpose sub-block product M[t,s]^T @ x."""
-    kind = m.btree.kind((t, s))
-    tree = m.tree
-    if kind == cl.INADMISSIBLE:
-        return m.dense[(t, s)].T @ x
-    if kind == cl.ADMISSIBLE:
-        smat = m.coupling[(t, s)]
-        if smat.size == 0:
-            return np.zeros((tree.cluster(s).size, x.shape[1]), dtype=np.complex128)
-        return m.basis.materialize(s) @ (smat.T @ (m.basis.materialize(t).T @ x))
-    out = np.zeros((tree.cluster(s).size, x.shape[1]), dtype=np.complex128)
-    t0 = tree.cluster(t).start
-    s0 = tree.cluster(s).start
-    for ti in _children_or_self(tree, t):
-        rt = tree.cluster(ti)
-        for sj in _children_or_self(tree, s):
-            rs = tree.cluster(sj)
-            out[rs.start - s0:rs.stop - s0] += _block_apply_t(
-                m, ti, sj, x[rt.start - t0:rt.stop - t0]
-            )
-    return out
-
-
-def _block_dense(m, t, s):
-    """Materialize one sub-block densely."""
-    n_s = m.tree.cluster(s).size
-    return _block_apply(m, t, s, np.eye(n_s, dtype=np.complex128))
 
 
 def _leaf_form(m, t, s):
-    """('adm', S) / ('dense', D) / ('sub', None) view of an operand block."""
+    """(core, left, right) triple of an operand leaf; None if subdivided."""
     kind = m.btree.kind((t, s))
     if kind == cl.ADMISSIBLE:
-        return "adm", m.coupling[(t, s)]
+        return m.coupling[(t, s)], True, True
     if kind == cl.INADMISSIBLE:
-        return "dense", m.dense[(t, s)]
-    return "sub", None
+        return m.dense[(t, s)], False, False
+    return None
 
 
 # Basis-projected views of whole sub-blocks, each a small k x k matrix:
@@ -280,84 +263,73 @@ def _family(op, u, v, mode, memo):
     return out
 
 
-def _place(c, t, r, form, payload, sign, pending=None):
-    """Accumulate a (t, r)-supported contribution into C's structure.
+def _split(tree, basis, t, r, core, left, right):
+    """Yield (ti, rj, part): the payload over each child block of (t, r).
 
-    Small admissible payloads aimed below a subdivided node are deferred
-    into `pending` so overlapping contributions merge and the expensive
-    downward splitting happens once per node (see _flush_pending).
+    A basis side passes its child's transfer matrix, an identity side its
+    child's slice of rows or columns; slicing comes first. Exact.
     """
-    if payload.size == 0:
+    t0 = tree.cluster(t).start
+    r0 = tree.cluster(r).start
+    for ti in _children_or_self(tree, t):
+        ct = tree.cluster(ti)
+        for rj in _children_or_self(tree, r):
+            cr = tree.cluster(rj)
+            part = core
+            if not left:
+                part = part[ct.start - t0:ct.stop - t0]
+            if not right:
+                part = part[:, cr.start - r0:cr.stop - r0]
+            tr_t = _child_transfer(basis, tree, t, ti)
+            if left and tr_t is not None:
+                part = tr_t @ part
+            tr_r = _child_transfer(basis, tree, r, rj)
+            if right and tr_r is not None:
+                part = part @ tr_r.T
+            yield ti, rj, part
+
+
+def _place(c, t, r, core, left, right, pending):
+    """Accumulate the (t, r)-supported payload L core R^T into C's structure.
+
+    A coupling target takes the payload projected onto its bases, a dense
+    target takes it expanded, and a subdivided target splits it exactly
+    among its children. Basis-by-basis payloads aimed at a subdivided node
+    are deferred into `pending` instead, so overlapping contributions merge
+    and the expensive downward splitting happens once per node (see
+    _flush_pending).
+    """
+    if core.size == 0:
         return
-    tree = c.tree
     basis = c.basis
     kind = c.btree.kind((t, r))
-    if pending is not None and kind == cl.SUBDIVIDED and form == "adm":
-        got = pending.get((t, r))
-        pending[(t, r)] = sign * payload if got is None else got + sign * payload
-        return
     if kind == cl.ADMISSIBLE:
-        k_t = basis.rank(t)
-        k_r = basis.rank(r)
-        if k_t == 0 or k_r == 0:
-            return
-        if form == "adm":
-            c.coupling[(t, r)] += sign * payload
-        elif form == "left":
-            c.coupling[(t, r)] += sign * (payload @ basis.materialize(r).conj())
-        elif form == "right":
-            c.coupling[(t, r)] += sign * (basis.materialize(t).conj().T @ payload)
-        else:  # dense
-            c.coupling[(t, r)] += sign * (
-                basis.materialize(t).conj().T @ payload @ basis.materialize(r).conj()
-            )
+        if not left:
+            core = basis.materialize(t).conj().T @ core
+        if not right:
+            core = core @ basis.materialize(r).conj()
+        c.coupling[(t, r)] += core
     elif kind == cl.INADMISSIBLE:
-        if form == "adm":
-            c.dense[(t, r)] += sign * (
-                basis.materialize(t) @ payload @ basis.materialize(r).T
-            )
-        elif form == "left":
-            c.dense[(t, r)] += sign * (basis.materialize(t) @ payload)
-        elif form == "right":
-            c.dense[(t, r)] += sign * (payload @ basis.materialize(r).T)
-        else:
-            c.dense[(t, r)] += sign * payload
-    else:  # subdivided: split exactly through the transfer matrices
-        if form == "adm":
-            raise AssertionError("admissible payloads must go through pending")
-        r0 = tree.cluster(r).start
-        t0 = tree.cluster(t).start
-        for ti in _children_or_self(tree, t):
-            tr_t = _child_transfer(basis, tree, t, ti)
-            ct = tree.cluster(ti)
-            for rj in _children_or_self(tree, r):
-                tr_r = _child_transfer(basis, tree, r, rj)
-                cr = tree.cluster(rj)
-                if form == "left":
-                    part = payload[:, cr.start - r0:cr.stop - r0]
-                    if tr_t is not None:
-                        part = tr_t @ part
-                    _place(c, ti, rj, "left", part, sign)
-                elif form == "right":
-                    part = payload[ct.start - t0:ct.stop - t0]
-                    if tr_r is not None:
-                        part = part @ tr_r.T
-                    _place(c, ti, rj, "right", part, sign)
-                else:
-                    part = payload[
-                        ct.start - t0:ct.stop - t0, cr.start - r0:cr.stop - r0
-                    ]
-                    _place(c, ti, rj, "dense", part, sign)
+        if left:
+            core = basis.materialize(t) @ core
+        if right:
+            core = core @ basis.materialize(r).T
+        c.dense[(t, r)] += core
+    elif left and right:
+        got = pending.get((t, r))
+        pending[(t, r)] = core if got is None else got + core
+    else:
+        for ti, rj, part in _split(c.tree, basis, t, r, core, left, right):
+            _place(c, ti, rj, part, left, right, pending)
 
 
 def _flush_pending(c, pending):
-    """Push merged admissible payloads down the structure, top level first.
+    """Push merged basis-by-basis payloads down the structure, top level first.
 
     Each (t, r) node is visited once no matter how many contributions were
     aimed at it, which keeps one full product at O(nodes) placement work.
     """
     tree = c.tree
-    basis = c.basis
     by_depth = {}
 
     def push(key, payload):
@@ -373,87 +345,75 @@ def _flush_pending(c, pending):
         if not bucket:
             continue
         for (t, r), payload in bucket.items():
-            kind = c.btree.kind((t, r))
-            if kind == cl.ADMISSIBLE:
-                c.coupling[(t, r)] += payload
-            elif kind == cl.INADMISSIBLE:
-                c.dense[(t, r)] += (
-                    basis.materialize(t) @ payload @ basis.materialize(r).T
-                )
-            else:
-                for ti in _children_or_self(tree, t):
-                    tr_t = _child_transfer(basis, tree, t, ti)
-                    for rj in _children_or_self(tree, r):
-                        tr_r = _child_transfer(basis, tree, r, rj)
-                        part = payload
-                        if tr_t is not None:
-                            part = tr_t @ part
-                        if tr_r is not None:
-                            part = part @ tr_r.T
-                        if part.size:
-                            push((ti, rj), part)
+            if c.btree.kind((t, r)) != cl.SUBDIVIDED:
+                _place(c, t, r, payload, True, True, None)
+                continue
+            for ti, rj, part in _split(tree, c.basis, t, r, payload, True, True):
+                if part.size:
+                    push((ti, rj), part)
 
 
 def _mul_rec(c, a, b, t, s, r, sign, ctx):
     """Accumulate A[t,s] @ B[s,r] into C[t,r]; all three are block-tree nodes."""
-    fa, pa = _leaf_form(a, t, s)
-    fb, pb = _leaf_form(b, s, r)
+    fa = _leaf_form(a, t, s)
+    fb = _leaf_form(b, s, r)
     tree = c.tree
     basis = c.basis
-    pending = ctx["pending"]
 
-    if fa == "sub" and fb == "sub":
+    if fa is None and fb is None:
         kind_c = c.btree.kind((t, r))
         if kind_c == cl.SUBDIVIDED:
             for ti in _children_or_self(tree, t):
                 for sj in _children_or_self(tree, s):
                     for rl in _children_or_self(tree, r):
                         _mul_rec(c, a, b, ti, sj, rl, sign, ctx)
-        elif kind_c == cl.ADMISSIBLE:
+            return
+        # a leaf of C below two subdivided operands: apply them exactly
+        left = False
+        if kind_c == cl.ADMISSIBLE:
             if basis.rank(t) == 0 or basis.rank(r) == 0:
                 return
             # exact V_t^H (A[t,s] B[s,r]) conj(V_r): near-field chains passing
             # through s carry content outside span(V_s), so no projector is
             # inserted here (2-D/3-D accuracy would degrade noticeably)
             y = _block_apply(b, s, r, basis.materialize(r).conj())
-            z = _block_apply(a, t, s, y)
-            c.coupling[(t, r)] += sign * (basis.materialize(t).conj().T @ z)
-        else:  # dense target below two subdivided operands (mixed levels)
-            z = _block_apply(a, t, s, _block_dense(b, s, r))
-            c.dense[(t, r)] += sign * z
-        return
-
-    # at least one operand is a leaf form: reduce to a placeable payload
-    if fa == "adm":
+            right = True
+        else:  # dense target, only where leaves sit at mixed levels
+            y = _block_apply(b, s, r, np.eye(tree.cluster(r).size, dtype=np.complex128))
+            right = False
+        core = _block_apply(a, t, s, y)
+    # otherwise the outer side of each factor carries over and the inner side
+    # is contracted or absorbs the subdivided operand
+    elif fa is None:
+        pb, left, right = fb
+        if pb.size == 0:
+            return
+        if left:  # (V_t^H A[t,s] V_s) pb, exact projection of A[t,s] V_s pb
+            core = _family(a, t, s, "R", ctx["a_r"]) @ pb
+        else:
+            core = _block_apply(a, t, s, pb)
+    elif fb is None:
+        pa, left, right = fa
         if pa.size == 0:
             return
-        if fb == "adm":
-            if pb.size == 0:
-                return
-            _place(c, t, r, "adm", pa @ basis.overlap(s) @ pb, sign, pending)
-        elif fb == "dense":
-            _place(c, t, r, "left", pa @ (basis.materialize(s).T @ pb), sign)
-        else:  # B subdivided: S1 (V_s^T B[s,r] conj(V_r)), exact projection
-            payload = pa @ _family(b, s, r, "Q", ctx["b_q"])
-            _place(c, t, r, "adm", payload, sign, pending)
-    elif fa == "dense":
-        if fb == "adm":
-            if pb.size == 0:
-                return
-            _place(c, t, r, "right", (pa @ basis.materialize(s)) @ pb, sign)
-        elif fb == "dense":
-            _place(c, t, r, "dense", pa @ pb, sign)
+        if right:  # pa (V_s^T B[s,r] conj(V_r)), exact projection of pa V_s^T B[s,r]
+            core = pa @ _family(b, s, r, "Q", ctx["b_q"])
         else:
-            _place(c, t, r, "dense", _block_apply_t(b, s, r, pa.T).T, sign)
-    else:  # A subdivided, B a leaf form
-        if fb == "adm":
-            if pb.size == 0:
-                return
-            # (V_t^H A V_s) S2, exact projection of A[t,s] V_s S2 V_r^T
-            payload = _family(a, t, s, "R", ctx["a_r"]) @ pb
-            _place(c, t, r, "adm", payload, sign, pending)
-        else:  # dense
-            _place(c, t, r, "dense", _block_apply(a, t, s, pb), sign)
+            core = _block_apply(b, s, r, pa.T, trans=True).T
+    else:
+        pa, left, inner_a = fa
+        pb, inner_b, right = fb
+        if pa.size == 0 or pb.size == 0:
+            return
+        if inner_a and inner_b:
+            core = pa @ basis.overlap(s) @ pb
+        elif inner_a:
+            core = pa @ (basis.materialize(s).T @ pb)
+        elif inner_b:
+            core = (pa @ basis.materialize(s)) @ pb
+        else:
+            core = pa @ pb
+    _place(c, t, r, sign * core, left, right, ctx["pending"])
 
 
 def _mul_into(c, a, b, t, s, r, sign):
@@ -465,14 +425,7 @@ def _mul_into(c, a, b, t, s, r, sign):
 
 def h2_zeros_like(m):
     """Same structure and bases as m, zero couplings and dense leaves."""
-    return H2Matrix.blockwise(
-        m.tree,
-        m.btree,
-        m.basis,
-        {k: np.zeros_like(v) for k, v in m.coupling.items()},
-        {k: np.zeros_like(v) for k, v in m.dense.items()},
-        m.params,
-    )
+    return _fresh_block(m, m.tree.root, m.tree.root)
 
 
 def h2_mul_formatted(a, b):

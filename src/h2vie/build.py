@@ -182,15 +182,31 @@ class NestedBasis:
         return m
 
 
+def _row_owner(parts):
+    """The C-contiguous array that `parts` tile left to right, else None."""
+    base = parts[0].base
+    if base is None or base.ndim != 2 or not base.flags.c_contiguous:
+        return None
+    start = addr = base.ctypes.data
+    for p in parts:
+        if (p.base is not base or p.shape[0] != base.shape[0]
+                or p.strides != base.strides or p.ctypes.data != addr):
+            return None
+        addr += p.shape[1] * base.itemsize
+    return base if addr - start == base.shape[1] * base.itemsize else None
+
+
 def _block_rows(blocks, span, pack):
     """Group (t, s) -> payload blocks by target cluster into apply rows.
 
     Returns (rows, views). A row (lo, hi, buf, src) adds buf @ x[src] to
     y[lo:hi], where span(c) is cluster c's (lo, hi) range in x and y. With
-    pack, the blocks of one row are copied side by side into one buffer,
-    src is the matching index array and views maps each block to its view
-    into the buffer. Without pack every block is a row of its own, keeps
-    its array and has a slice as src. Empty blocks join no row.
+    pack, the blocks of one row sit side by side in one buffer, src is the
+    matching index array and views maps each block to its view into the
+    buffer; blocks that already tile one array in row order (build_h2's
+    near field) keep that array as the buffer, others are copied into a new
+    one. Without pack every block is a row of its own, keeps its array and
+    has a slice as src. Empty blocks join no row.
     """
     by_target = {}
     for (t, s), p in blocks.items():
@@ -202,7 +218,10 @@ def _block_rows(blocks, span, pack):
         if not pack:
             rows.extend((*span(t), blocks[(t, s)], slice(*span(s))) for s in sources)
             continue
-        buf = np.concatenate([blocks[(t, s)] for s in sources], axis=1)
+        parts = [blocks[(t, s)] for s in sources]
+        buf = _row_owner(parts)
+        if buf is None:
+            buf = np.concatenate(parts, axis=1)
         col = 0
         for s in sources:
             width = blocks[(t, s)].shape[1]

@@ -29,6 +29,34 @@ def _cvec(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def _mixed_depth(kind, dims, n_min):
+    """Operator whose cluster tree has leaves at two or more levels.
+
+    Uniform-depth trees never split dense or half-basis payloads nor meet a
+    dense leaf under two subdivided operands; these trees do.
+    """
+    geom = kernel.generate_geometry(kind, dims, 10, K0)
+    kp = kernel.KernelParams(k0=K0)
+    h2 = build.build_h2(geom, kp, CompressionParams(1e-4, 1e-4), n_min=n_min)
+    return geom, kp, h2, kernel.assemble_dense(geom, kp)
+
+
+@pytest.fixture(scope="module")
+def rod130():
+    """13 wavelength rod, N = 130, leaves at levels 2 and 3."""
+    return _mixed_depth("rod", [13.0], 32)
+
+
+@pytest.fixture(scope="module")
+def cube3():
+    """3 x 1 x 1 cube array, N = 81; its products run every split branch."""
+    return _mixed_depth("cube_array", [3, 1, 1], 20)
+
+
+def _leaf_levels(h2):
+    return {h2.tree.cluster(c).level for c in h2.tree.leaves()}
+
+
 class TestMatvec:
     def test_zero_maps_to_zero(self, rod164):
         _, _, h2, _ = rod164
@@ -79,11 +107,12 @@ class TestMatmat:
         assert np.array_equal(out, np.zeros((h2.n, 3)))
 
     def test_chunking_is_invisible(self, rod164, rng):
+        # 300 columns cross the fixed chunk width
         _, _, h2, _ = rod164
-        x = rng.standard_normal((h2.n, 5)) + 1j * rng.standard_normal((h2.n, 5))
-        assert np.allclose(
-            matmat_apply(h2, x, col_block=2), matmat_apply(h2, x), atol=1e-14
-        )
+        x = rng.standard_normal((h2.n, 300)) + 1j * rng.standard_normal((h2.n, 300))
+        exact = build.materialize(h2) @ x
+        err = np.linalg.norm(matmat_apply(h2, x) - exact)
+        assert err <= 1e-12 * np.linalg.norm(exact)
 
 
 @pytest.fixture(scope="module")
@@ -199,12 +228,13 @@ class TestFormattedMul:
         assert all(np.all(v == 0) for v in prod.coupling.values())
         assert all(np.all(v == 0) for v in prod.dense.values())
 
-    def test_product_matches_dense_product(self, rod164):
-        _, _, h2, dense = rod164
-        prod = h2_mul_formatted(h2, h2)
-        ref = dense @ dense
-        err = np.linalg.norm(build.materialize(prod) - ref) / np.linalg.norm(ref)
-        assert err <= 20 * h2.params.eps_acc
+    def test_product_matches_dense_product(self, rod164, rod130):
+        assert len(_leaf_levels(rod130[2])) >= 2
+        for _, _, h2, dense in (rod164, rod130):
+            prod = h2_mul_formatted(h2, h2)
+            ref = dense @ dense
+            err = np.linalg.norm(build.materialize(prod) - ref) / np.linalg.norm(ref)
+            assert err <= 20 * h2.params.eps_acc
 
     def test_product_action_matches_composition(self, rod164, rng):
         _, _, h2, _ = rod164
@@ -214,15 +244,16 @@ class TestFormattedMul:
         err = np.linalg.norm(matvec(prod, x) - ref) / np.linalg.norm(ref)
         assert err <= 20 * h2.params.eps_acc
 
-    def test_product_on_cube_array(self, cube2):
+    def test_product_on_cube_array(self, cube2, cube3):
         # 3-D products push more energy outside the fixed bases than 1-D
         # ones; the error stays at the percent level that the direct
         # inverse for this geometry is known to deliver
-        _, _, h2, dense = cube2
-        prod = h2_mul_formatted(h2, h2)
-        ref = dense @ dense
-        err = np.linalg.norm(build.materialize(prod) - ref) / np.linalg.norm(ref)
-        assert err <= 1e-2
+        assert len(_leaf_levels(cube3[2])) >= 2
+        for _, _, h2, dense in (cube2, cube3):
+            prod = h2_mul_formatted(h2, h2)
+            ref = dense @ dense
+            err = np.linalg.norm(build.materialize(prod) - ref) / np.linalg.norm(ref)
+            assert err <= 1e-2
 
 
 class TestInverse:
@@ -232,13 +263,15 @@ class TestInverse:
         x = _cvec(rng, geom.n)
         assert np.allclose(matvec(inv, x), x, atol=1e-13)
 
-    def test_rod_inverse_residual(self, rod164, rng):
-        _, _, h2, dense = rod164
-        inv = h2_invert(h2)
-        resid = np.linalg.norm(
-            np.eye(h2.n) - dense @ build.materialize(inv)
-        ) / np.sqrt(h2.n)
-        assert resid <= 5e-2
+    def test_rod_inverse_residual(self, rod164, rod130, cube3):
+        for m in (rod130, cube3):
+            assert len(_leaf_levels(m[2])) >= 2
+        for _, _, h2, dense in (rod164, rod130, cube3):
+            inv = h2_invert(h2)
+            resid = np.linalg.norm(
+                np.eye(h2.n) - dense @ build.materialize(inv)
+            ) / np.sqrt(h2.n)
+            assert resid <= 5e-2
 
     def test_input_is_untouched(self, rod164):
         _, _, h2, _ = rod164

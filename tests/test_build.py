@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from h2vie import build, clustering as cl, kernel
+from h2vie import arith, build, clustering as cl, kernel
 from h2vie.linalg import CompressionParams, aca_factorize, recompress_lowrank
 
 K0 = 2.0 * np.pi
@@ -133,6 +133,35 @@ class TestNearField:
         # the rod's leaf rows hold several blocks, so the views are slices
         targets = [t for t, _ in rod164[2].btree.inadmissible]
         assert len(set(targets)) < len(targets)
+
+    def test_sampled_rows_become_near_row_buffers(self, rod164):
+        geom, kp, h2, _ = rod164
+        dense = build._near_field(h2.tree, h2.btree, kernel.entry_oracle(geom, kp))
+        m = build.H2Matrix(h2.tree, h2.btree, h2.basis, dict(h2.coupling), dense,
+                           h2.params)
+        clusters = h2.tree.clusters
+        for start, stop, buf, _ in m.near_rows:
+            views = [d for (t, _), d in dense.items()
+                     if (clusters[t].start, clusters[t].stop) == (start, stop)]
+            assert all(buf is view.base for view in views)
+
+    def test_out_of_order_views_are_packed(self, rod164, rng):
+        _, _, h2, _ = rod164
+        dense = {}
+        for t in dict.fromkeys(t for t, _ in h2.btree.inadmissible):
+            keys = [k for k in h2.dense if k[0] == t]
+            row = np.concatenate([h2.dense[k] for k in keys], axis=1)
+            col = 0
+            for k in keys:
+                dense[k] = row[:, col:col + h2.dense[k].shape[1]]
+                col += dense[k].shape[1]
+        m = build.H2Matrix(h2.tree, h2.btree, h2.basis, dict(h2.coupling),
+                           dict(reversed(dense.items())), h2.params)
+        x = rng.standard_normal((h2.n, 2)) + 1j * rng.standard_normal((h2.n, 2))
+        exact = build.materialize(h2) @ x
+        err = np.linalg.norm(arith.matmat_apply(m, x) - exact)
+        assert err <= 1e-12 * np.linalg.norm(exact)
+        assert all(np.array_equal(m.dense[k], d) for k, d in h2.dense.items())
 
 
 class TestBases:
