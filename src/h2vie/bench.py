@@ -134,9 +134,8 @@ def _geometry_extent(cfg, size):
     return [size, size, size]  # cube_array: per-axis cube counts
 
 
-def _build_for_size(cfg, size):
-    geom = kernel.generate_geometry(cfg.shape, _geometry_extent(cfg, size),
-                                    cfg.vpw, cfg.k0)
+def _build(cfg, extent):
+    geom = kernel.generate_geometry(cfg.shape, extent, cfg.vpw, cfg.k0)
     kp = kernel.KernelParams(k0=cfg.k0, eps_r=cfg.eps_r)
     cp = CompressionParams(cfg.eps_aca, cfg.eps_acc)
     t0 = time.perf_counter()
@@ -196,7 +195,7 @@ def run_rank_study(cfg):
         raise ValueError("rank study needs a non-empty size sweep")
     records = []
     for size in cfg.sweep:
-        geom, kp, h2, build_s = _build_for_size(cfg, size)
+        geom, kp, h2, build_s = _build(cfg, _geometry_extent(cfg, size))
         err = _rep_error_if_feasible(cfg, geom, kp, h2)
         _, csp = clustering.sparsity_constant(h2.btree, h2.tree)
         per_level = h2.rank_per_level()
@@ -244,7 +243,7 @@ def run_scaling_study(cfg):
     rng = np.random.default_rng(cfg.seed)
     records = []
     for size in cfg.sweep:
-        geom, kp, h2, build_s = _build_for_size(cfg, size)
+        geom, kp, h2, build_s = _build(cfg, _geometry_extent(cfg, size))
         n = geom.n
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         matvec_s = median_time(lambda: arith.matvec(h2, x))
@@ -318,8 +317,7 @@ def run_solve(cfg):
     summary carries the convergence flag and, for solver=both, the relative
     discrepancy between the iterative and direct solutions.
     """
-    size = cfg.extent[0]
-    geom, kp, h2, build_s = _build_for_size(cfg, size)
+    geom, kp, h2, build_s = _build(cfg, cfg.extent)
     rng = np.random.default_rng(cfg.seed)
     rhs = kernel.plane_wave_rhs(geom, cfg.k0, [0.0, -1.0, 0.0])
     summary = {"converged": True, "N": geom.n}
@@ -353,7 +351,7 @@ def run_solve(cfg):
         )
     _, csp = clustering.sparsity_constant(h2.btree, h2.tree)
     record = BenchRecord(
-        "solve", N=geom.n, lam=size, level=h2.tree.depth - 1,
+        "solve", N=geom.n, lam=cfg.extent[0], level=h2.tree.depth - 1,
         max_rank=h2.max_rank(), csp=csp,
         rep_error=_rep_error_if_feasible(cfg, geom, kp, h2),
         inv_residual=inv_residual, iterations=iterations, build_s=build_s,

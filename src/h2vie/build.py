@@ -4,11 +4,12 @@ Stage I compresses, for every cluster, the horizontal concatenation of all
 admissible blocks it owns into a single A @ B.T factor (sampled whole and
 truncated through its Gram matrix on leaves, cross approximation followed
 by an SVD trim above them). Stage II turns those factors into one shared
-family of orthonormal cluster bases: leaf bases come from an accuracy-
-truncated eigendecomposition of the per-cluster Gram matrix, non-leaf bases
-are expressed through transfer matrices after projecting the Gram onto the
-children's bases, and each admissible block reduces to a small coupling
-matrix between the two bases. Inadmissible leaf blocks stay dense.
+family of orthonormal cluster bases by one bottom-up rule: each cluster's
+Gram matrix over its rows of its own and its ancestors' factors (projected
+onto the children's bases above the leaves) is truncated to the prescribed
+accuracy, giving a leaf basis or two transfer matrices. Each admissible
+block then reduces to a small coupling matrix between two bases;
+inadmissible leaf blocks stay dense.
 
 The resulting H2Matrix is immutable in spirit: arithmetic lives in
 h2vie.arith and mutates explicit copies only. Its payloads are stored per
@@ -49,20 +50,14 @@ class MissingBasisError(KeyError):
 class ClusterAB:
     """Grouped low-rank factor of all admissible blocks one cluster owns."""
 
-    cluster: int
     a: np.ndarray  # (#t, k)
     b: np.ndarray  # (sum #s_j, k), rows grouped per partner
-    col_clusters: list  # partner cluster ids, in b's row order
-    col_offsets: np.ndarray  # len(col_clusters) + 1 prefix offsets into b's rows
+    col_offsets: np.ndarray  # prefix offsets into b's rows, one per partner + 1
     btb: np.ndarray  # cached B^T conj(B), (k, k)
 
     @property
     def rank(self):
         return self.a.shape[1]
-
-    def b_slice(self, s):
-        j = self.col_clusters.index(s)
-        return self.b[self.col_offsets[j]:self.col_offsets[j + 1]]
 
 
 @dataclass(frozen=True)
@@ -96,14 +91,15 @@ class NestedBasis:
     def rank(self, cid):
         return self.ranks.get(cid, 0)
 
-    def set_leaf(self, cid, v):
-        self.leaf_v[cid] = v
-        self.ranks[cid] = v.shape[1]
-        self._schedule = None
-
-    def set_transfer(self, cid, t_lo, t_hi):
-        self.transfers[cid] = (t_lo, t_hi)
-        self.ranks[cid] = t_lo.shape[1]
+    def set_basis(self, cid, p):
+        """Store p: a leaf's basis, or a non-leaf's stacked [T_lo; T_hi]."""
+        c = self.tree.cluster(cid)
+        if c.is_leaf:
+            self.leaf_v[cid] = p
+        else:
+            k_lo = self.rank(c.child_lo)
+            self.transfers[cid] = (p[:k_lo], p[k_lo:])
+        self.ranks[cid] = p.shape[1]
         self._schedule = None
 
     def schedule(self):
@@ -196,6 +192,12 @@ def _row_owner(parts):
     return base if addr - start == base.shape[1] * base.itemsize else None
 
 
+def _column_views(row, widths):
+    """Views of the consecutive column blocks of `row` with these widths."""
+    edges = np.cumsum([0, *widths])
+    return [row[:, lo:hi] for lo, hi in zip(edges, edges[1:])]
+
+
 def _block_rows(blocks, span, pack):
     """Group (t, s) -> payload blocks by target cluster into apply rows.
 
@@ -204,9 +206,9 @@ def _block_rows(blocks, span, pack):
     pack, the blocks of one row sit side by side in one buffer, src is the
     matching index array and views maps each block to its view into the
     buffer; blocks that already tile one array in row order (build_h2's
-    near field) keep that array as the buffer, others are copied into a new
-    one. Without pack every block is a row of its own, keeps its array and
-    has a slice as src. Empty blocks join no row.
+    couplings and near field) keep that array as the buffer, others are
+    copied into a new one. Without pack every block is a row of its own,
+    keeps its array and has a slice as src. Empty blocks join no row.
     """
     by_target = {}
     for (t, s), p in blocks.items():
@@ -222,11 +224,8 @@ def _block_rows(blocks, span, pack):
         buf = _row_owner(parts)
         if buf is None:
             buf = np.concatenate(parts, axis=1)
-        col = 0
-        for s in sources:
-            width = blocks[(t, s)].shape[1]
-            views[(t, s)] = buf[:, col:col + width]
-            col += width
+        views.update(zip([(t, s) for s in sources],
+                         _column_views(buf, [p.shape[1] for p in parts])))
         src = np.concatenate([np.arange(*span(s)) for s in sources])
         rows.append((*span(t), buf, src))
     return rows, views
@@ -339,10 +338,8 @@ def build_all_cluster_ab(tree, btree, oracle, params):
         rows = tree.indices(c.id)
         if not partners:
             out[c.id] = ClusterAB(
-                c.id,
                 np.zeros((c.size, 0), dtype=np.complex128),
                 np.zeros((0, 0), dtype=np.complex128),
-                [],
                 np.zeros(1, dtype=np.int64),
                 np.zeros((0, 0), dtype=np.complex128),
             )
@@ -371,93 +368,65 @@ def build_all_cluster_ab(tree, btree, oracle, params):
                     f"cluster {c.id}: {exc}", c.id
                 ) from exc
             f = recompress_lowrank(f, params.eps_acc)
-        out[c.id] = ClusterAB(
-            c.id, f.a, f.b, list(partners), offsets, f.b.T @ f.b.conj()
-        )
+        out[c.id] = ClusterAB(f.a, f.b, offsets, f.b.T @ f.b.conj())
     return out
 
 
-def _gram_terms(cid, abs_map, tree):
-    """(A-rows, BtBbar) pairs feeding cluster cid's Gram matrix."""
-    c = tree.cluster(cid)
-    terms = []
-    own = abs_map[cid]
-    if own.rank > 0:
-        terms.append((own.a, own.btb))
-    for j in tree.ancestors(cid):
-        abj = abs_map[j]
-        if abj.rank > 0:
-            cj = tree.cluster(j)
-            terms.append((abj.a[c.start - cj.start:c.stop - cj.start], abj.btb))
-    return terms
-
-
-def build_leaf_basis(cid, abs_map, tree, params):
-    """Orthonormal basis of a leaf cluster from its own and ancestral factors."""
-    c = tree.cluster(cid)
-    terms = _gram_terms(cid, abs_map, tree)
-    if not terms:
-        return np.zeros((c.size, 0), dtype=np.complex128), 0
-    g = np.zeros((c.size, c.size), dtype=np.complex128)
-    for a, m in terms:
-        g += a @ m @ a.conj().T
-    g = 0.5 * (g + g.conj().T)  # kill accumulated round-off skew
-    p, k = trunc_eig_hermitian(g, params.eps_acc)
-    return p, k
-
-
-def build_transfer(cid, basis, abs_map, tree, params):
-    """Transfer matrices of a non-leaf cluster via the children-projected Gram."""
-    c = tree.cluster(cid)
-    lo, hi = c.children()
-    k_lo = basis.rank(lo)
-    k_hi = basis.rank(hi)
-    terms = _gram_terms(cid, abs_map, tree)
-    if not terms or k_lo + k_hi == 0:
-        empty_lo = np.zeros((k_lo, 0), dtype=np.complex128)
-        empty_hi = np.zeros((k_hi, 0), dtype=np.complex128)
-        return empty_lo, empty_hi, 0
-    n_lo = tree.cluster(lo).size
-    g = np.zeros((k_lo + k_hi, k_lo + k_hi), dtype=np.complex128)
-    for a, m in terms:
-        a_small = np.vstack(
-            [basis.apply_vh(lo, a[:n_lo]), basis.apply_vh(hi, a[n_lo:])]
-        )
-        g += a_small @ m @ a_small.conj().T
-    g = 0.5 * (g + g.conj().T)
-    p, k = trunc_eig_hermitian(g, params.eps_acc)
-    return p[:k_lo], p[k_lo:], k
-
-
 def build_bases(tree, abs_map, params):
-    """Stage II bottom-up sweep: leaf bases first, then transfers level by level."""
+    """Stage II: one bottom-up sweep with one Gram rule for every cluster.
+
+    G_c sums X_j btb_j X_j^H over j in {c} + ancestors(c) with rank_j > 0,
+    where X_j is A_j's rows of c on a leaf and those rows projected onto
+    the children's bases (apply_vh) above it. The truncated eigenvectors
+    p of G_c are the leaf basis or the stacked transfers [T_lo; T_hi]; a
+    zero or 0 x 0 Gram gives an empty basis of the right shape.
+    """
     basis = NestedBasis(tree)
-    for level in range(tree.depth - 1, -1, -1):
-        for cid in tree.levels[level]:
-            if tree.cluster(cid).is_leaf:
-                v, _ = build_leaf_basis(cid, abs_map, tree, params)
-                basis.set_leaf(cid, v)
+    for level in reversed(tree.levels):
+        for cid in level:
+            c = tree.cluster(cid)
+            if c.is_leaf:
+                width = c.size
             else:
-                t_lo, t_hi, _ = build_transfer(cid, basis, abs_map, tree, params)
-                basis.set_transfer(cid, t_lo, t_hi)
+                lo, hi = c.children()
+                n_lo = tree.cluster(lo).size
+                width = basis.rank(lo) + basis.rank(hi)
+            g = np.zeros((width, width), dtype=np.complex128)
+            for j in [cid, *tree.ancestors(cid)]:
+                ab = abs_map[j]
+                if ab.rank == 0:
+                    continue
+                off = c.start - tree.cluster(j).start
+                x = ab.a[off:off + c.size]
+                if not c.is_leaf:
+                    x = np.vstack([basis.apply_vh(lo, x[:n_lo]),
+                                   basis.apply_vh(hi, x[n_lo:])])
+                g += x @ ab.btb @ x.conj().T
+            g = 0.5 * (g + g.conj().T)  # kill accumulated round-off skew
+            p, _ = trunc_eig_hermitian(g, params.eps_acc)
+            basis.set_basis(cid, p)
     return basis
 
 
 def build_coupling(btree, abs_map, basis, tree):
-    """Coupling matrix of every admissible leaf from the Stage-I factors."""
+    """Coupling matrix of every admissible leaf from the Stage-I factors.
+
+    S_{t,s} = (V_t^H A_t) (V_s^H B_t|s)^T, with V_t^H A_t computed once per
+    target and B_t|s the rows of B_t that col_offsets assign to partner s.
+    Each S_{t,s} is written into its view of one row [S_{t,s1} | ...] per
+    target, which H2Matrix keeps as that block row's buffer. Keys come in
+    btree.admissible order, which fixes the summation order of each row.
+    """
     coupling = {}
-    proj_a = {}  # cluster -> V_t^H A_t, shared across its partners
-    for t, s in btree.admissible:
+    for t, partners in sorted(btree.partners.items()):
         ab = abs_map[t]
-        if t not in proj_a:
-            proj_a[t] = basis.apply_vh(t, ab.a)
-        if basis.rank(t) == 0 or basis.rank(s) == 0:
-            coupling[(t, s)] = np.zeros(
-                (basis.rank(t), basis.rank(s)), dtype=np.complex128
-            )
-            continue
-        q = basis.apply_vh(s, ab.b_slice(s))
-        coupling[(t, s)] = proj_a[t] @ q.T
+        proj_a = basis.apply_vh(t, ab.a)
+        widths = [basis.rank(s) for s in partners]
+        row = np.empty((basis.rank(t), sum(widths)), dtype=np.complex128)
+        for s, lo, hi, out in zip(partners, ab.col_offsets, ab.col_offsets[1:],
+                                  _column_views(row, widths)):
+            coupling[(t, s)] = np.matmul(
+                proj_a, basis.apply_vh(s, ab.b[lo:hi]).T, out=out)
     return coupling
 
 
@@ -488,10 +457,8 @@ def _near_field(tree, btree, oracle):
     for t, sources in by_target.items():
         col_blocks = [tree.indices(s) for s in sources]
         row = oracle(tree.indices(t), np.concatenate(col_blocks))
-        col = 0
-        for s, idx in zip(sources, col_blocks):
-            dense[(t, s)] = row[:, col:col + idx.size]
-            col += idx.size
+        dense.update(zip([(t, s) for s in sources],
+                         _column_views(row, [idx.size for idx in col_blocks])))
     return dense
 
 
@@ -503,8 +470,6 @@ def materialize(h2):
     for (t, s), d in h2.dense.items():
         out[np.ix_(tree.indices(t), tree.indices(s))] = d
     for (t, s), smat in h2.coupling.items():
-        if smat.size == 0:
-            continue
         block = h2.basis.materialize(t) @ smat @ h2.basis.materialize(s).T
         out[np.ix_(tree.indices(t), tree.indices(s))] = block
     return out

@@ -55,28 +55,10 @@ class ExperimentConfig:
         return 2.0 * np.pi / self.lambda0
 
 
-_PARSERS = {
-    "shape": str,
-    "extent": _parse_float_list,
-    "vpw": int,
-    "eps_r": _parse_complex,
-    "lambda0": float,
-    "n_min": int,
-    "eta": float,
-    "eps_aca": float,
-    "eps_acc": float,
-    "solver": str,
-    "tol": float,
-    "max_iter": int,
-    "dense_cap": int,
-    "out": str,
-    "solution_out": str,
-    "seed": int,
-    "sweep": _parse_float_list,
-    "svd_dim": int,
-    "svd_sizes": _parse_float_list,
-    "svd_eps": float,
-}
+# annotations are strings under `from __future__ import annotations`
+_PARSE_BY_TYPE = {"str": str, "int": int, "float": float,
+                  "complex": _parse_complex, "list": _parse_float_list}
+_PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in fields(ExperimentConfig)}
 
 
 def _coerce(key, value):

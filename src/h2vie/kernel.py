@@ -102,8 +102,8 @@ def generate_geometry(shape_tag, extent, voxels_per_wavelength, k0):
 
     extent is interpreted per shape: rod -> (length,) in wavelengths with a
     fixed lambda0/10 square cross-section; slab -> (Lx, Ly) in wavelengths
-    with fixed lambda0/10 thickness; cube_array -> (ax, ay, az) counts of
-    0.3-lambda0 cubes separated by 0.3-lambda0 gaps.
+    with fixed lambda0/10 thickness; cube_array -> (ax, ay, az) integer
+    counts of 0.3-lambda0 cubes separated by 0.3-lambda0 gaps.
     """
     if shape_tag not in SHAPES:
         raise ValueError(f"unknown shape {shape_tag!r}; expected one of {SHAPES}")
@@ -139,6 +139,8 @@ def generate_geometry(shape_tag, extent, voxels_per_wavelength, k0):
         if extent.size < 3:
             raise ValueError("cube_array extent needs (ax, ay, az) cube counts")
         counts = extent.astype(int)
+        if np.any(counts != extent):
+            raise ValueError("cube_array counts must be integers")
         if np.any(counts < 1):
             raise ValueError("cube_array produced zero voxels")
         m = max(1, int(round(0.3 * vpw)))  # voxels per cube edge

@@ -148,6 +148,18 @@ class TestRunners:
         assert np.allclose(written, expected, atol=1e-15)
         assert record.N == geom.n
 
+    def test_solve_uses_whole_extent(self, tmp_path):
+        cfg = ExperimentConfig(
+            shape="cube_array", extent=[2.0, 1.0, 1.0], n_min=16,
+            solver="iterative",
+            out=str(tmp_path / "s.csv"),
+            solution_out=str(tmp_path / "sol.txt"),
+        )
+        record, summary = bench.run_solve(cfg)
+        assert summary["N"] == record.N == 2 * 27
+        assert bench.read_solution(cfg.solution_out).size == 54
+        assert parse_csv(cfg.out)[0].lam == 2.0
+
     def test_solve_both_reports_discrepancy(self, tmp_path):
         cfg = ExperimentConfig(
             shape="rod", extent=[16.4], vpw=10, n_min=16, solver="both",

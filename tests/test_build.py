@@ -17,6 +17,17 @@ def _rod_setup(length, n_min=16, eps=1e-5):
     return geom, kp, oracle, tree, btree, params
 
 
+def _grouped_rows(tree, abs_map, cid):
+    """[A_j|c B_j^T | ...] over cid and its ancestors j with a nonzero factor."""
+    c = tree.cluster(cid)
+    parts = [np.zeros((c.size, 0), dtype=np.complex128)]
+    for j in [cid, *tree.ancestors(cid)]:
+        ab, off = abs_map[j], c.start - tree.cluster(j).start
+        if ab.rank:
+            parts.append(ab.a[off:off + c.size] @ ab.b.T)
+    return np.hstack(parts)
+
+
 class TestStageOne:
     def test_cluster_without_partners_is_empty(self):
         geom, kp, oracle, tree, btree, params = _rod_setup(16.4)
@@ -174,25 +185,29 @@ class TestBases:
         assert not h2.coupling
 
     def test_leaf_basis_spans_factor_columns(self):
-        # two separated bodies, leaf-level admissible only: V must span A
+        # V must span the leaf's rows of its own and every ancestor's factor
         geom, kp, oracle, tree, btree, params = _rod_setup(16.4, n_min=16)
         abs_map = build.build_all_cluster_ab(tree, btree, oracle, params)
         basis = build.build_bases(tree, abs_map, params)
+        checked = 0
         for cid in tree.leaves():
-            ab = abs_map[cid]
-            if ab.rank == 0 or tree.ancestors(cid):
+            m = _grouped_rows(tree, abs_map, cid)
+            if m.size == 0:
                 continue
             v = basis.materialize(cid)
-            resid = ab.a - v @ (v.conj().T @ ab.a)
-            assert np.linalg.norm(resid) <= 10 * params.eps_acc * np.linalg.norm(ab.a)
+            resid = m - v @ (v.conj().T @ m)
+            assert np.linalg.norm(resid) <= 10 * params.eps_acc * np.linalg.norm(m)
+            checked += 1
+        assert checked > 0
 
     def test_leaf_gram_is_leaf_sized(self):
         for length in (16.4, 65.6):
             geom, kp, oracle, tree, btree, params = _rod_setup(length)
             abs_map = build.build_all_cluster_ab(tree, btree, oracle, params)
+            basis = build.build_bases(tree, abs_map, params)
             for cid in tree.leaves():
-                v, k = build.build_leaf_basis(cid, abs_map, tree, params)
-                assert v.shape == (tree.cluster(cid).size, k)
+                v = basis.leaf_v[cid]
+                assert v.shape == (tree.cluster(cid).size, basis.rank(cid))
                 assert tree.cluster(cid).size <= 16
 
     def test_transfer_reproduces_direct_parent_basis(self):
@@ -208,10 +223,8 @@ class TestBases:
         for c in tree.clusters:
             if c.is_leaf or basis.rank(c.id) == 0:
                 continue
-            terms = build._gram_terms(c.id, abs_map, tree)
-            g = np.zeros((c.size, c.size), dtype=np.complex128)
-            for a, m in terms:
-                g += a @ m @ a.conj().T
+            m = _grouped_rows(tree, abs_map, c.id)
+            g = m @ m.conj().T
             g = 0.5 * (g + g.conj().T)
             v = basis.materialize(c.id)
             resid = g - v @ (v.conj().T @ g)
@@ -232,6 +245,20 @@ class TestCoupling:
         _, _, h2, _ = rod164
         for (t, s), smat in h2.coupling.items():
             assert smat.shape == (h2.basis.rank(t), h2.basis.rank(s))
+
+    def test_coupling_rows_become_far_row_buffers(self):
+        geom, kp, oracle, tree, btree, params = _rod_setup(16.4)
+        abs_map = build.build_all_cluster_ab(tree, btree, oracle, params)
+        basis = build.build_bases(tree, abs_map, params)
+        coupling = build.build_coupling(btree, abs_map, basis, tree)
+        assert list(coupling) == btree.admissible
+        m = build.H2Matrix(tree, btree, basis, coupling, {}, params)
+        spans = basis.schedule().spans
+        assert m.far_rows
+        for lo, hi, buf, _ in m.far_rows:
+            views = [v for (t, _), v in coupling.items()
+                     if spans[t] == (lo, hi) and v.size]
+            assert views and all(buf is view.base for view in views)
 
     def test_reconstruction_matches_dense_slice(self, rod164):
         geom, kp, h2, dense = rod164

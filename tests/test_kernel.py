@@ -29,6 +29,13 @@ class TestGeometry:
         within = xs[1] - xs[0]
         assert gap / within == pytest.approx(4.0)
 
+    def test_cube_counts_must_be_integers(self):
+        with pytest.raises(ValueError, match="integers"):
+            kernel.generate_geometry("cube_array", [2.5, 1, 1], 10, K0)
+        geom = kernel.generate_geometry("cube_array", [2.0, 1.0, 1.0], 10, K0)
+        assert geom.n == 2 * 27
+        assert geom.dims == (2, 1, 1, 3)
+
     def test_zero_voxels_rejected(self):
         with pytest.raises(ValueError):
             kernel.generate_geometry("rod", [0.01], 10, K0)
