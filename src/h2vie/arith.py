@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import zgemm
 
 from . import clustering as cl
 from .build import H2Matrix
@@ -142,19 +143,41 @@ def h2_add_formatted(target, addend, sign=1):
 # formatted multiplication
 # ---------------------------------------------------------------------------
 #
-# The triple recursion below walks (t, s, r) with (t, s) a block of A and
-# (s, r) a block of B, accumulating A[t,s] @ B[s,r] into C[t,r]. Every
-# operand leaf and every contribution is a triple (core, left, right) that
-# means L core R^T, with L = V_t if left else I and R = V_r if right else I:
-# an admissible leaf is (S, True, True), a dense one (D, False, False).
-# A product keeps the outer side of each factor, so the rules go side by
-# side: the inner cluster s is contracted through V_s^T V_s, V_s^T, V_s or
-# nothing, and a subdivided operand is reduced through its basis-projected
-# family when the side facing it is a basis and applied directly when not.
-# Placement then projects each non-basis side onto a coupling target
-# (V_t^H on the left, conj(V_r) on the right), expands each basis side into
-# a dense target, and splits through the transfer matrices on the way down.
-# Only those projections are lossy; splits are exact.
+# The product below walks the triples (t, s, r) with (t, s) a block of A and
+# (s, r) a block of B, accumulating A[t,s] @ B[s,r] into C[t,r].
+#
+# Leaf targets take one rule. Where C[t,r] is a leaf and A[t,s], B[s,r] are
+# both leaves or both subdivided, the contribution is X @ Y, a product of
+# two half-products in the target's frame. The frame of a coupling target
+# is its projection, V_t^H on the left and conj(V_r) on the right; a dense
+# target's frame is the identity. Per operand kind, coupling / dense frame:
+#   X = frame-left A[t,s]:   S or V_t S (admissible), V_t^H D or D (dense),
+#                            V_t^H A[t,s] or A[t,s] (subdivided, exact)
+#   Y = B[s,r] frame-right:  S or S V_r^T, D conj(V_r) or D,
+#                            B[s,r] conj(V_r) or B[s,r]
+# An admissible half keeps its basis on the inner side (V_s^T after an
+# A-half, V_s before a B-half), and the inner cluster s is contracted into
+# the halves: overlap(s) = V_s^T V_s joins X when both keep a basis, V_s
+# joins X when only Y keeps one, V_s^T joins Y when only X keeps one.
+# A half thus depends on its operand block, the target frame and the other
+# side's kind only, and is formed once per _mul_into.
+#
+# Lifetime: the walk over the triples records these contributions as (t, r)
+# lists per inner cluster s; _leaf_products then forms the halves of one s
+# at a time, adds every X @ Y, and drops them before the next s. Every
+# X(t, s) and Y(s, r) meets all its partners inside one group, so nothing
+# is formed twice, and only one group's halves are alive at a time.
+#
+# Every other contribution (an operand subdivided against a leaf, or a
+# leaf x leaf product aimed at a subdivided target) is a triple (core,
+# left, right) that means L core R^T, with L = V_t if left else I and
+# R = V_r if right else I: an admissible leaf is (S, True, True), a dense
+# one (D, False, False). A subdivided operand is reduced through its
+# basis-projected family when the side facing it is a basis and applied
+# directly when not. _place then projects each non-basis side onto a
+# coupling target, expands each basis side into a dense target, and splits
+# through the transfer matrices on the way down; only the projections are
+# lossy, splits are exact.
 
 
 def _children_or_self(tree, cid):
@@ -162,12 +185,12 @@ def _children_or_self(tree, cid):
     return [cid] if c.is_leaf else list(c.children())
 
 
-def _child_transfer(basis, tree, parent, child):
-    """Transfer of `child` inside `parent`'s basis; None means identity."""
-    if parent == child:
-        return None
-    t_lo, t_hi = basis.transfers[parent]
-    return t_lo if child == tree.cluster(parent).child_lo else t_hi
+def _lifts(basis, tree, cid):
+    """(child, transfer) pairs of cid, or [(cid, None)] for a leaf."""
+    c = tree.cluster(cid)
+    if c.is_leaf:
+        return [(cid, None)]
+    return list(zip(c.children(), basis.transfers[cid]))
 
 
 def _block_apply(m, t, s, x, trans=False):
@@ -246,46 +269,117 @@ def _family(op, u, v, mode, memo):
         else:
             out = vu.T @ d @ vv.conj()
     else:
-        out = np.zeros((ku, kv), dtype=np.complex128)
-        for ui in _children_or_self(tree, u):
-            tr_u = _child_transfer(basis, tree, u, ui)
-            for vj in _children_or_self(tree, v):
-                tr_v = _child_transfer(basis, tree, v, vj)
+        # out = sum_i Lu_i (sum_j F_ij Rv_j): each child family lifted into
+        # (u, v) by its transfers, T^H / T on the left and T / conj(T) on the
+        # right for R / Q; a leaf side keeps its one cluster and no transfer
+        rights = _lifts(basis, tree, v)
+        out = None
+        for ui, t_u in _lifts(basis, tree, u):
+            row = None
+            for vj, t_v in rights:
                 f = _family(op, ui, vj, mode, memo)
-                if f.size == 0:
-                    continue
-                if tr_u is not None:
-                    f = (tr_u.T if mode == "Q" else tr_u.conj().T) @ f
-                if tr_v is not None:
-                    f = f @ (tr_v if mode == "R" else tr_v.conj())
-                out = out + f
+                if t_v is not None:
+                    f = f @ (t_v if mode == "R" else t_v.conj())
+                row = f if row is None else row + f
+            if t_u is not None:
+                row = (t_u.T if mode == "Q" else t_u.conj().T) @ row
+            out = row if out is None else out + row
     memo[key] = out
     return out
+
+
+def _half_a(a, t, s, coupled, b_basis):
+    """X: A[t,s] in the target frame, contracted to meet B's half."""
+    basis = a.basis
+    kind = a.btree.kind((t, s))
+    if kind == cl.ADMISSIBLE:
+        x = a.coupling[(t, s)]
+        if not coupled:
+            x = basis.materialize(t) @ x
+        return x @ basis.overlap(s) if b_basis else x
+    if kind == cl.INADMISSIBLE:
+        x = a.dense[(t, s)]
+        if coupled:
+            x = basis.materialize(t).conj().T @ x
+    else:  # subdivided: (A[t,s]^T conj(V_t))^T, or A[t,s] in a dense frame
+        n_t = a.tree.cluster(t).size
+        left = basis.materialize(t).conj() if coupled else np.eye(n_t, dtype=np.complex128)
+        x = _block_apply(a, t, s, left, trans=True).T
+    return x @ basis.materialize(s) if b_basis else x
+
+
+def _half_b(b, s, r, coupled, a_basis):
+    """Y: B[s,r] in the target frame, contracted to meet A's half."""
+    basis = b.basis
+    kind = b.btree.kind((s, r))
+    if kind == cl.ADMISSIBLE:  # overlap(s) joined X if X keeps a basis
+        y = b.coupling[(s, r)]
+        return y if coupled else y @ basis.materialize(r).T
+    if kind == cl.INADMISSIBLE:
+        y = b.dense[(s, r)]
+        if coupled:
+            y = y @ basis.materialize(r).conj()
+    else:  # subdivided
+        n_r = b.tree.cluster(r).size
+        right = basis.materialize(r).conj() if coupled else np.eye(n_r, dtype=np.complex128)
+        y = _block_apply(b, s, r, right)
+    return basis.materialize(s).T @ y if a_basis else y
+
+
+def _leaf_products(c, a, b, work, sign):
+    """Add every recorded leaf-target contribution sign * X @ Y into C.
+
+    `work` maps the inner cluster s to {(coupled, a_basis, b_basis): (ts,
+    rs)}, one (t, r) pair per contribution. The halves of one s are formed
+    on first use and dropped once its pairs are done. Each contribution is
+    one zgemm that accumulates out^T += sign * Y^T X^T into the Fortran
+    view of the C-contiguous target block, so nothing is allocated; a block
+    of another layout would be copied and the sum lost, hence the check.
+    """
+    for s, groups in work.items():
+        xs = {}  # (coupled, b_basis) -> {t: X}
+        ys = {}  # (coupled, a_basis) -> {r: Y}
+        for (coupled, a_basis, b_basis), (ts, rs) in groups.items():
+            x_of = xs.setdefault((coupled, b_basis), {})
+            y_of = ys.setdefault((coupled, a_basis), {})
+            targets = c.coupling if coupled else c.dense
+            for t, r in zip(ts, rs):
+                out = targets[(t, r)]
+                if not out.size:  # a rank-0 coupling; zgemm refuses it
+                    continue
+                if not out.flags.c_contiguous or out.dtype != np.complex128:
+                    raise ValueError("product targets must be C-contiguous complex blocks")
+                x = x_of.get(t)
+                if x is None:
+                    x = x_of[t] = _half_a(a, t, s, coupled, b_basis)
+                y = y_of.get(r)
+                if y is None:
+                    y = y_of[r] = _half_b(b, s, r, coupled, a_basis)
+                zgemm(sign, y.T, x.T, beta=1.0, c=out.T, overwrite_c=True)
 
 
 def _split(tree, basis, t, r, core, left, right):
     """Yield (ti, rj, part): the payload over each child block of (t, r).
 
     A basis side passes its child's transfer matrix, an identity side its
-    child's slice of rows or columns; slicing comes first. Exact.
+    child's slice of rows or columns; the left side is done once per row
+    of children. Exact.
     """
     t0 = tree.cluster(t).start
     r0 = tree.cluster(r).start
-    for ti in _children_or_self(tree, t):
-        ct = tree.cluster(ti)
-        for rj in _children_or_self(tree, r):
-            cr = tree.cluster(rj)
-            part = core
-            if not left:
-                part = part[ct.start - t0:ct.stop - t0]
+    rights = _lifts(basis, tree, r)
+    for ti, tr_t in _lifts(basis, tree, t):
+        if not left:
+            ct = tree.cluster(ti)
+            rows = core[ct.start - t0:ct.stop - t0]
+        else:
+            rows = core if tr_t is None else tr_t @ core
+        for rj, tr_r in rights:
             if not right:
-                part = part[:, cr.start - r0:cr.stop - r0]
-            tr_t = _child_transfer(basis, tree, t, ti)
-            if left and tr_t is not None:
-                part = tr_t @ part
-            tr_r = _child_transfer(basis, tree, r, rj)
-            if right and tr_r is not None:
-                part = part @ tr_r.T
+                cr = tree.cluster(rj)
+                part = rows[:, cr.start - r0:cr.stop - r0]
+            else:
+                part = rows if tr_r is None else rows @ tr_r.T
             yield ti, rj, part
 
 
@@ -353,38 +447,58 @@ def _flush_pending(c, pending):
                     push((ti, rj), part)
 
 
-def _mul_rec(c, a, b, t, s, r, sign, ctx):
-    """Accumulate A[t,s] @ B[s,r] into C[t,r]; all three are block-tree nodes."""
+def _mul_walk(c, a, b, t, s, r, sign, ctx):
+    """Visit every block-tree triple below (t, s, r) once, depth first.
+
+    A triple of three subdivided nodes expands into its children. A
+    leaf-target contribution is recorded in ctx["work"] under its inner
+    cluster s for _leaf_products; every other one goes to _mul_place.
+    """
+    # the operands share C's block tree; nodes.get is btree.kind without
+    # its call frame, which counts at ~10^5 triples per product
+    kind = c.btree.nodes.get
+    tree = c.tree
+    work = ctx["work"]
+    stack = [(t, s, r)]
+    while stack:
+        t, s, r = stack.pop()
+        kind_c = kind((t, r))
+        kind_a = kind((t, s))
+        kind_b = kind((s, r))
+        sub = kind_a == cl.SUBDIVIDED
+        if sub and kind_b == cl.SUBDIVIDED and kind_c == cl.SUBDIVIDED:
+            tc, sc, rc = (_children_or_self(tree, x)[::-1] for x in (t, s, r))
+            # pushed in reverse, so they pop in (ti, sj, rl) order
+            stack.extend([(ti, sj, rl) for ti in tc for sj in sc for rl in rc])
+        elif kind_c != cl.SUBDIVIDED and sub == (kind_b == cl.SUBDIVIDED):
+            # a leaf target of two leaves or of two subdivided blocks; the
+            # latter take A[t,s] B[s,r] exactly, with no projector at s, since
+            # near-field chains passing through s carry content outside
+            # span(V_s) (2-D/3-D accuracy would degrade)
+            groups = work.get(s)
+            if groups is None:
+                groups = work[s] = {}
+            key = (kind_c == cl.ADMISSIBLE, kind_a == cl.ADMISSIBLE,
+                   kind_b == cl.ADMISSIBLE)
+            pairs = groups.get(key)
+            if pairs is None:
+                pairs = groups[key] = ([], [])
+            pairs[0].append(t)
+            pairs[1].append(r)
+        else:
+            _mul_place(c, a, b, t, s, r, sign, ctx)
+
+
+def _mul_place(c, a, b, t, s, r, sign, ctx):
+    """Place A[t,s] @ B[s,r] into C[t,r] by a (core, left, right) triple.
+
+    The outer side of each factor carries over, and the inner side is
+    contracted or absorbs the subdivided operand.
+    """
+    basis = c.basis
     fa = _leaf_form(a, t, s)
     fb = _leaf_form(b, s, r)
-    tree = c.tree
-    basis = c.basis
-
-    if fa is None and fb is None:
-        kind_c = c.btree.kind((t, r))
-        if kind_c == cl.SUBDIVIDED:
-            for ti in _children_or_self(tree, t):
-                for sj in _children_or_self(tree, s):
-                    for rl in _children_or_self(tree, r):
-                        _mul_rec(c, a, b, ti, sj, rl, sign, ctx)
-            return
-        # a leaf of C below two subdivided operands: apply them exactly
-        left = False
-        if kind_c == cl.ADMISSIBLE:
-            if basis.rank(t) == 0 or basis.rank(r) == 0:
-                return
-            # exact V_t^H (A[t,s] B[s,r]) conj(V_r): near-field chains passing
-            # through s carry content outside span(V_s), so no projector is
-            # inserted here (2-D/3-D accuracy would degrade noticeably)
-            y = _block_apply(b, s, r, basis.materialize(r).conj())
-            right = True
-        else:  # dense target, only where leaves sit at mixed levels
-            y = _block_apply(b, s, r, np.eye(tree.cluster(r).size, dtype=np.complex128))
-            right = False
-        core = _block_apply(a, t, s, y)
-    # otherwise the outer side of each factor carries over and the inner side
-    # is contracted or absorbs the subdivided operand
-    elif fa is None:
+    if fa is None:
         pb, left, right = fb
         if pb.size == 0:
             return
@@ -400,7 +514,7 @@ def _mul_rec(c, a, b, t, s, r, sign, ctx):
             core = pa @ _family(b, s, r, "Q", ctx["b_q"])
         else:
             core = _block_apply(b, s, r, pa.T, trans=True).T
-    else:
+    else:  # two leaves aimed at a subdivided target
         pa, left, inner_a = fa
         pb, inner_b, right = fb
         if pa.size == 0 or pb.size == 0:
@@ -417,9 +531,23 @@ def _mul_rec(c, a, b, t, s, r, sign, ctx):
 
 
 def _mul_into(c, a, b, t, s, r, sign):
-    """One formatted product A[t,s] @ B[s,r] accumulated into C, flushed."""
-    ctx = {"pending": {}, "a_r": {}, "b_q": {}}
-    _mul_rec(c, a, b, t, s, r, sign, ctx)
+    """One formatted product C[t,r] += sign * A[t,s] @ B[s,r], flushed.
+
+    A and B are read-only for the whole call, and C's target blocks are
+    disjoint from the blocks it reads (h2_mul_formatted writes a fresh C,
+    every _invert_rec call writes a block other than its operands'), so
+    contributions may be deferred and reordered freely. Three stages:
+    _mul_walk places the contributions that take a (core, left, right)
+    triple and records the leaf-target ones per inner cluster s;
+    _leaf_products adds those as X @ Y, forming the target-frame halves
+    X = frame-left A[t,s] and Y = B[s,r] frame-right of one s at a time
+    (see the comment above _children_or_self) and dropping them after it;
+    _flush_pending splits the merged basis-by-basis payloads aimed at
+    subdivided nodes down the structure once per node.
+    """
+    ctx = {"pending": {}, "work": {}, "a_r": {}, "b_q": {}}
+    _mul_walk(c, a, b, t, s, r, sign, ctx)
+    _leaf_products(c, a, b, ctx["work"], sign)
     _flush_pending(c, ctx["pending"])
 
 
@@ -512,6 +640,16 @@ def h2_invert(m):
     return inv
 
 
+def _check_finite(name, x):
+    """Raise ValueError naming the first non-finite entry of x, if any."""
+    bad = np.argwhere(~np.isfinite(x))
+    if bad.size:
+        idx = tuple(int(i) for i in bad[0])
+        raise ValueError(
+            f"{name} has a non-finite entry at index {idx[0] if len(idx) == 1 else idx}"
+        )
+
+
 def apply_inverse_solve(inv, e, operator=None):
     """Solution by applying the inverted operator to one or more excitations.
 
@@ -521,6 +659,7 @@ def apply_inverse_solve(inv, e, operator=None):
     inverse is itself an approximation.
     """
     e = np.asarray(e, dtype=np.complex128)
+    _check_finite("excitation", e)
     apply_one = matvec if e.ndim == 1 else matmat_apply
     x = apply_one(inv, e)
     if operator is not None:
@@ -546,6 +685,7 @@ def bicgstab_solve(apply, rhs, tol=1e-3, max_iter=200, seed=0, shadow=None):
         raise ValueError("max_iter must be >= 1")
     t_start = time.perf_counter()
     b = np.asarray(rhs, dtype=np.complex128)
+    _check_finite("rhs", b)
     n = b.size
     bnrm = np.linalg.norm(b)
     if bnrm == 0.0:

@@ -48,9 +48,14 @@ class KernelParams:
     eps_r: complex | np.ndarray = 2.54
 
     def __post_init__(self):
+        if not np.isfinite(self.k0):
+            raise ValueError(f"k0 must be finite, got {self.k0}")
         if self.k0 < 0:
             raise ValueError("k0 must be >= 0")
         eps = np.asarray(self.eps_r)
+        bad = np.flatnonzero(~np.isfinite(eps))
+        if bad.size:
+            raise ValueError(f"eps_r must be finite; entry {bad[0]} is {eps.flat[bad[0]]}")
         if np.any(eps.imag > 1e-15):
             raise ValueError("passive media require Im(eps_r) <= 0")
 

@@ -29,28 +29,35 @@ def _cvec(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-def _mixed_depth(kind, dims, n_min):
-    """Operator whose cluster tree has leaves at two or more levels.
-
-    Uniform-depth trees never split dense or half-basis payloads nor meet a
-    dense leaf under two subdivided operands; these trees do.
-    """
+def _operator(kind, dims, n_min):
+    """(geometry, kernel parameters, representation, dense matrix)."""
     geom = kernel.generate_geometry(kind, dims, 10, K0)
     kp = kernel.KernelParams(k0=K0)
     h2 = build.build_h2(geom, kp, CompressionParams(1e-4, 1e-4), n_min=n_min)
     return geom, kp, h2, kernel.assemble_dense(geom, kp)
 
 
+# rod130 and cube3 have leaves at two or more tree levels. Uniform-depth
+# trees never split dense or half-basis payloads nor meet a dense leaf
+# under two subdivided operands; these trees do.
+
+
 @pytest.fixture(scope="module")
 def rod130():
     """13 wavelength rod, N = 130, leaves at levels 2 and 3."""
-    return _mixed_depth("rod", [13.0], 32)
+    return _operator("rod", [13.0], 32)
 
 
 @pytest.fixture(scope="module")
 def cube3():
     """3 x 1 x 1 cube array, N = 81; its products run every split branch."""
-    return _mixed_depth("cube_array", [3, 1, 1], 20)
+    return _operator("cube_array", [3, 1, 1], 20)
+
+
+@pytest.fixture(scope="module")
+def cube533():
+    """5 x 3 x 3 cube array, N = 1215: the large near field of cube-direct."""
+    return _operator("cube_array", [5, 3, 3], 32)
 
 
 def _leaf_levels(h2):
@@ -244,6 +251,22 @@ class TestFormattedMul:
         err = np.linalg.norm(matvec(prod, x) - ref) / np.linalg.norm(ref)
         assert err <= 20 * h2.params.eps_acc
 
+    def test_product_of_two_operators(self, rod164, rod130, cube2, cube3):
+        # A (x) B and B (x) A for B != A: every other product test squares
+        # one operator, which would hide a mix-up of the two operands' blocks
+        for (_, _, a, _), bound in ((rod164, 20 * rod164[2].params.eps_acc),
+                                    (rod130, 20 * rod130[2].params.eps_acc),
+                                    (cube2, 1e-2), (cube3, 1e-2)):
+            b = a.copy()
+            for d in b.dense.values():
+                d *= 1.5
+            for s in b.coupling.values():
+                s *= 0.5
+            dense_a, dense_b = build.materialize(a), build.materialize(b)
+            for x, y, ref in ((a, b, dense_a @ dense_b), (b, a, dense_b @ dense_a)):
+                prod = build.materialize(h2_mul_formatted(x, y))
+                assert np.linalg.norm(prod - ref) / np.linalg.norm(ref) <= bound
+
     def test_product_on_cube_array(self, cube2, cube3):
         # 3-D products push more energy outside the fixed bases than 1-D
         # ones; the error stays at the percent level that the direct
@@ -263,10 +286,10 @@ class TestInverse:
         x = _cvec(rng, geom.n)
         assert np.allclose(matvec(inv, x), x, atol=1e-13)
 
-    def test_rod_inverse_residual(self, rod164, rod130, cube3):
+    def test_rod_inverse_residual(self, rod164, rod130, cube3, cube533):
         for m in (rod130, cube3):
             assert len(_leaf_levels(m[2])) >= 2
-        for _, _, h2, dense in (rod164, rod130, cube3):
+        for _, _, h2, dense in (rod164, rod130, cube3, cube533):
             inv = h2_invert(h2)
             resid = np.linalg.norm(
                 np.eye(h2.n) - dense @ build.materialize(inv)
@@ -352,6 +375,17 @@ class TestBicgstab:
         with pytest.raises(ValueError):
             bicgstab_solve(lambda v: v, np.ones(4), tol=1e-3, max_iter=0)
 
+    def test_non_finite_rhs_named(self):
+        calls = []
+
+        def apply(v):
+            calls.append(v)
+            return v
+
+        with pytest.raises(ValueError, match="rhs has a non-finite entry at index 1"):
+            bicgstab_solve(apply, [1.0, np.nan, 2.0])
+        assert not calls
+
     def test_nonconvergence_reported(self, rod164):
         _, _, h2, _ = rod164
         rhs = np.ones(h2.n, dtype=complex)
@@ -401,6 +435,17 @@ class TestInverseSolve:
         out = apply_inverse_solve(inv, block)
         for j in range(3):
             assert np.allclose(out[:, j], matvec(inv, block[:, j]), atol=1e-14)
+
+    def test_non_finite_excitation_named(self, rod164):
+        _, _, h2, _ = rod164
+        e = np.ones(h2.n, dtype=complex)
+        e[3] = np.nan
+        with pytest.raises(ValueError, match="excitation has a non-finite entry at index 3"):
+            apply_inverse_solve(h2, e, operator=h2)
+        block = np.ones((h2.n, 2), dtype=complex)
+        block[5, 1] = np.inf
+        with pytest.raises(ValueError, match=r"at index \(5, 1\)"):
+            apply_inverse_solve(h2, block)
 
     def test_direct_and_iterative_agree(self, rod164):
         geom, kp, h2, _ = rod164

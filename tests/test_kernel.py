@@ -82,6 +82,16 @@ class TestMatrixEntry:
         with pytest.raises(ValueError):
             kernel.KernelParams(k0=K0, eps_r=2.0 + 0.5j)
 
+    @pytest.mark.parametrize("k0", [np.nan, np.inf])
+    def test_non_finite_k0_rejected(self, k0):
+        with pytest.raises(ValueError, match="k0 must be finite"):
+            kernel.KernelParams(k0=k0, eps_r=2.54)
+
+    @pytest.mark.parametrize("eps_r", [np.nan, complex(2.54, np.nan), [2.54, np.inf]])
+    def test_non_finite_eps_r_rejected(self, eps_r):
+        with pytest.raises(ValueError, match="eps_r must be finite"):
+            kernel.KernelParams(k0=K0, eps_r=eps_r)
+
 
 class TestSelfTerm:
     def test_static_limit_is_half_a_squared(self):
