@@ -9,6 +9,11 @@ Formatted addition and multiplication keep the block structure and cluster
 bases of the operands fixed, projecting whatever falls outside them; the
 recursive inverse is built from those two operations and dense leaf
 inverses, and returns a matrix with the same structure as its input.
+The product has one contribution rule: each operand block is taken once
+into a left or right frame, a cluster basis or the identity, set by the
+target block and the operand kinds, and the contribution is the product
+of the two halves, added by one GEMM into a leaf target or split down
+into the leaves of a subdivided one.
 
 Because the bases are complex with V^H V = I while blocks are represented
 as V_t S V_s^T (plain transpose), every product and projection rule below
@@ -18,6 +23,7 @@ carries an explicit conjugation; nothing relies on V^T V being identity.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,45 +150,45 @@ def h2_add_formatted(target, addend, sign=1):
 # ---------------------------------------------------------------------------
 #
 # The product below walks the triples (t, s, r) with (t, s) a block of A and
-# (s, r) a block of B, accumulating A[t,s] @ B[s,r] into C[t,r].
+# (s, r) a block of B, accumulating A[t,s] @ B[s,r] into C[t,r]. A triple of
+# three subdivided nodes expands into its children; every other triple adds
+# one contribution X @ Y, a product of two halves, X = A[t,s] in a left
+# frame and Y = B[s,r] in a right frame.
 #
-# Leaf targets take one rule. Where C[t,r] is a leaf and A[t,s], B[s,r] are
-# both leaves or both subdivided, the contribution is X @ Y, a product of
-# two half-products in the target's frame. The frame of a coupling target
-# is its projection, V_t^H on the left and conj(V_r) on the right; a dense
-# target's frame is the identity. Per operand kind, coupling / dense frame:
+# Frames. A left frame is V_t^H (a basis) or the identity, a right frame
+# conj(V_r) or the identity. A leaf target sets both: its bases if it is a
+# coupling, the identity if it is dense. A subdivided target takes each
+# operand's outer side: a basis for an admissible operand, the identity
+# for a dense one, and for a subdivided operand a basis exactly when the
+# other operand meets it with a basis. That last projection is lossy like
+# a coupling target's, but keeps such a pair at O(k^3) work.
+#
+# Halves. Per operand kind, basis / identity frame:
 #   X = frame-left A[t,s]:   S or V_t S (admissible), V_t^H D or D (dense),
-#                            V_t^H A[t,s] or A[t,s] (subdivided, exact)
+#                            V_t^H A[t,s] or A[t,s] (subdivided)
 #   Y = B[s,r] frame-right:  S or S V_r^T, D conj(V_r) or D,
 #                            B[s,r] conj(V_r) or B[s,r]
 # An admissible half keeps its basis on the inner side (V_s^T after an
 # A-half, V_s before a B-half), and the inner cluster s is contracted into
 # the halves: overlap(s) = V_s^T V_s joins X when both keep a basis, V_s
-# joins X when only Y keeps one, V_s^T joins Y when only X keeps one.
-# A half thus depends on its operand block, the target frame and the other
-# side's kind only, and is formed once per _mul_into.
+# joins X when only Y keeps one, V_s^T joins Y when only X keeps one. No
+# projector is applied at s, since near-field chains passing through s
+# carry content outside span(V_s). A subdivided half in a basis frame
+# facing a basis is thus its R/Q family (below); in the identity frame it
+# is the block applied to the identity of its smaller side, which is a
+# leaf of at most n_min points wherever that frame occurs. A half depends
+# on its operand block, its frame and the other side's kind only.
 #
-# Lifetime: the walk over the triples records these contributions as (t, r)
-# lists per inner cluster s; _leaf_products then forms the halves of one s
-# at a time, adds every X @ Y, and drops them before the next s. Every
-# X(t, s) and Y(s, r) meets all its partners inside one group, so nothing
-# is formed twice, and only one group's halves are alive at a time.
-#
-# Every other contribution (an operand subdivided against a leaf, or a
-# leaf x leaf product aimed at a subdivided target) is a triple (core,
-# left, right) that means L core R^T, with L = V_t if left else I and
-# R = V_r if right else I: an admissible leaf is (S, True, True), a dense
-# one (D, False, False). A subdivided operand is reduced through its
-# basis-projected family when the side facing it is a basis and applied
-# directly when not. _place then projects each non-basis side onto a
-# coupling target, expands each basis side into a dense target, and splits
-# through the transfer matrices on the way down; only the projections are
-# lossy, splits are exact.
-
-
-def _children_or_self(tree, cid):
-    c = tree.cluster(cid)
-    return [cid] if c.is_leaf else list(c.children())
+# Delivery. The walk records the contributions as (t, r) lists per inner
+# cluster s; _add_products then forms the halves of one s at a time, adds
+# every X @ Y, and drops them before the next s. Every X(t, s) and Y(s, r)
+# meets all its partners inside one group, so nothing is formed twice, and
+# only one group's halves are alive at a time. A leaf target takes X @ Y by
+# one zgemm. A subdivided target takes it as the payload L (X @ Y) R^T,
+# with L = V_t for a basis frame and I for the identity (R likewise):
+# _place projects a non-basis side onto a coupling target below, expands a
+# basis side into a dense target below, and splits through the transfer
+# matrices on the way down, exactly.
 
 
 def _lifts(basis, tree, cid):
@@ -197,7 +203,7 @@ def _block_apply(m, t, s, x, trans=False):
     """Sub-block product M[t,s] @ x for an (t, s) node of the block tree.
 
     With trans the product is M[t,s]^T @ x instead, x having #t rows; the
-    formatted product uses it to right-multiply a dense block as (M^T D^T)^T.
+    formatted product uses it to form a left half as (M^T F)^T.
     """
     kind = m.btree.kind((t, s))
     tree = m.tree
@@ -214,8 +220,8 @@ def _block_apply(m, t, s, x, trans=False):
     out = np.zeros((tree.cluster(u).size, x.shape[1]), dtype=np.complex128)
     u0 = tree.cluster(u).start
     v0 = tree.cluster(v).start
-    for ti in _children_or_self(tree, t):
-        for sj in _children_or_self(tree, s):
+    for ti in cl.children_or_self(tree, t):
+        for sj in cl.children_or_self(tree, s):
             cu = tree.cluster(sj if trans else ti)
             cv = tree.cluster(ti if trans else sj)
             out[cu.start - u0:cu.stop - u0] += _block_apply(
@@ -224,14 +230,13 @@ def _block_apply(m, t, s, x, trans=False):
     return out
 
 
-def _leaf_form(m, t, s):
-    """(core, left, right) triple of an operand leaf; None if subdivided."""
-    kind = m.btree.kind((t, s))
-    if kind == cl.ADMISSIBLE:
-        return m.coupling[(t, s)], True, True
-    if kind == cl.INADMISSIBLE:
-        return m.dense[(t, s)], False, False
-    return None
+def _block_array(m, t, s):
+    """M[t,s] as an array, applied to the identity of its smaller side."""
+    n_t = m.tree.cluster(t).size
+    n_s = m.tree.cluster(s).size
+    if n_t < n_s:
+        return _block_apply(m, t, s, np.eye(n_t, dtype=np.complex128), trans=True).T
+    return _block_apply(m, t, s, np.eye(n_s, dtype=np.complex128))
 
 
 # Basis-projected views of whole sub-blocks, each a small k x k matrix:
@@ -288,74 +293,85 @@ def _family(op, u, v, mode, memo):
     return out
 
 
-def _half_a(a, t, s, coupled, b_basis):
-    """X: A[t,s] in the target frame, contracted to meet B's half."""
+def _half_a(a, t, s, left, b_basis, memo):
+    """X: A[t,s] in the left frame (V_t^H if left), contracted to meet Y."""
     basis = a.basis
     kind = a.btree.kind((t, s))
     if kind == cl.ADMISSIBLE:
         x = a.coupling[(t, s)]
-        if not coupled:
+        if not left:
             x = basis.materialize(t) @ x
         return x @ basis.overlap(s) if b_basis else x
     if kind == cl.INADMISSIBLE:
         x = a.dense[(t, s)]
-        if coupled:
+        if left:
             x = basis.materialize(t).conj().T @ x
-    else:  # subdivided: (A[t,s]^T conj(V_t))^T, or A[t,s] in a dense frame
-        n_t = a.tree.cluster(t).size
-        left = basis.materialize(t).conj() if coupled else np.eye(n_t, dtype=np.complex128)
-        x = _block_apply(a, t, s, left, trans=True).T
+    elif left and b_basis:
+        return _family(a, t, s, "R", memo)
+    elif left:  # (A[t,s]^T conj(V_t))^T
+        x = _block_apply(a, t, s, basis.materialize(t).conj(), trans=True).T
+    else:
+        x = _block_array(a, t, s)
     return x @ basis.materialize(s) if b_basis else x
 
 
-def _half_b(b, s, r, coupled, a_basis):
-    """Y: B[s,r] in the target frame, contracted to meet A's half."""
+def _half_b(b, s, r, right, a_basis, memo):
+    """Y: B[s,r] in the right frame (conj(V_r) if right), contracted to meet X."""
     basis = b.basis
     kind = b.btree.kind((s, r))
     if kind == cl.ADMISSIBLE:  # overlap(s) joined X if X keeps a basis
         y = b.coupling[(s, r)]
-        return y if coupled else y @ basis.materialize(r).T
+        return y if right else y @ basis.materialize(r).T
     if kind == cl.INADMISSIBLE:
         y = b.dense[(s, r)]
-        if coupled:
+        if right:
             y = y @ basis.materialize(r).conj()
-    else:  # subdivided
-        n_r = b.tree.cluster(r).size
-        right = basis.materialize(r).conj() if coupled else np.eye(n_r, dtype=np.complex128)
-        y = _block_apply(b, s, r, right)
+    elif right and a_basis:
+        return _family(b, s, r, "Q", memo)
+    elif right:
+        y = _block_apply(b, s, r, basis.materialize(r).conj())
+    else:
+        y = _block_array(b, s, r)
     return basis.materialize(s).T @ y if a_basis else y
 
 
-def _leaf_products(c, a, b, work, sign):
-    """Add every recorded leaf-target contribution sign * X @ Y into C.
+def _add_products(c, a, b, work, sign, pending):
+    """Add every recorded contribution sign * X @ Y into C.
 
-    `work` maps the inner cluster s to {(coupled, a_basis, b_basis): (ts,
-    rs)}, one (t, r) pair per contribution. The halves of one s are formed
-    on first use and dropped once its pairs are done. Each contribution is
-    one zgemm that accumulates out^T += sign * Y^T X^T into the Fortran
-    view of the C-contiguous target block, so nothing is allocated; a block
-    of another layout would be copied and the sum lost, hence the check.
+    `work` maps the inner cluster s to {(kind_c, left, right, a_basis,
+    b_basis): (ts, rs)}, one (t, r) pair per contribution. The halves of one
+    s are formed on first use and dropped once its pairs are done. A leaf
+    target takes one zgemm that accumulates out^T += sign * Y^T X^T into the
+    Fortran view of the C-contiguous target block, so nothing is allocated;
+    a block of another layout would be copied and the sum lost, hence the
+    check. A subdivided target takes the payload through _place.
     """
+    a_r, b_q = {}, {}  # R/Q family memos, shared by every s
     for s, groups in work.items():
-        xs = {}  # (coupled, b_basis) -> {t: X}
-        ys = {}  # (coupled, a_basis) -> {r: Y}
-        for (coupled, a_basis, b_basis), (ts, rs) in groups.items():
-            x_of = xs.setdefault((coupled, b_basis), {})
-            y_of = ys.setdefault((coupled, a_basis), {})
-            targets = c.coupling if coupled else c.dense
+        xs = {}  # (left, b_basis) -> {t: X}
+        ys = {}  # (right, a_basis) -> {r: Y}
+        for (kind_c, left, right, a_basis, b_basis), (ts, rs) in groups.items():
+            x_of = xs.setdefault((left, b_basis), {})
+            y_of = ys.setdefault((right, a_basis), {})
+            leaf = kind_c != cl.SUBDIVIDED
+            targets = c.coupling if kind_c == cl.ADMISSIBLE else c.dense
             for t, r in zip(ts, rs):
-                out = targets[(t, r)]
-                if not out.size:  # a rank-0 coupling; zgemm refuses it
-                    continue
-                if not out.flags.c_contiguous or out.dtype != np.complex128:
-                    raise ValueError("product targets must be C-contiguous complex blocks")
+                if leaf:
+                    out = targets[(t, r)]
+                    if not out.size:  # a rank-0 coupling; zgemm refuses it
+                        continue
+                    if not out.flags.c_contiguous or out.dtype != np.complex128:
+                        raise ValueError("product targets must be C-contiguous complex blocks")
                 x = x_of.get(t)
                 if x is None:
-                    x = x_of[t] = _half_a(a, t, s, coupled, b_basis)
+                    x = x_of[t] = _half_a(a, t, s, left, b_basis, a_r)
                 y = y_of.get(r)
                 if y is None:
-                    y = y_of[r] = _half_b(b, s, r, coupled, a_basis)
-                zgemm(sign, y.T, x.T, beta=1.0, c=out.T, overwrite_c=True)
+                    y = y_of[r] = _half_b(b, s, r, right, a_basis, b_q)
+                if leaf:
+                    zgemm(sign, y.T, x.T, beta=1.0, c=out.T, overwrite_c=True)
+                else:
+                    _place(c, t, r, sign * (x @ y), left, right, pending)
 
 
 def _split(tree, basis, t, r, core, left, right):
@@ -447,87 +463,41 @@ def _flush_pending(c, pending):
                     push((ti, rj), part)
 
 
-def _mul_walk(c, a, b, t, s, r, sign, ctx):
-    """Visit every block-tree triple below (t, s, r) once, depth first.
+def _mul_walk(c, t, s, r):
+    """Record every contribution below (t, s, r) once, depth first.
 
-    A triple of three subdivided nodes expands into its children. A
-    leaf-target contribution is recorded in ctx["work"] under its inner
-    cluster s for _leaf_products; every other one goes to _mul_place.
+    A triple of three subdivided nodes expands into its children. Every
+    other one is recorded as {s: {(kind_c, left, right, a_basis, b_basis):
+    (ts, rs)}}: the target's kind, each side's frame (True for a basis) and
+    whether each operand keeps a basis at s.
     """
     # the operands share C's block tree; nodes.get is btree.kind without
     # its call frame, which counts at ~10^5 triples per product
     kind = c.btree.nodes.get
     tree = c.tree
-    work = ctx["work"]
+    work = defaultdict(lambda: defaultdict(lambda: ([], [])))
     stack = [(t, s, r)]
     while stack:
         t, s, r = stack.pop()
         kind_c = kind((t, r))
         kind_a = kind((t, s))
         kind_b = kind((s, r))
-        sub = kind_a == cl.SUBDIVIDED
-        if sub and kind_b == cl.SUBDIVIDED and kind_c == cl.SUBDIVIDED:
-            tc, sc, rc = (_children_or_self(tree, x)[::-1] for x in (t, s, r))
+        if kind_c == kind_a == kind_b == cl.SUBDIVIDED:
+            tc, sc, rc = (cl.children_or_self(tree, x)[::-1] for x in (t, s, r))
             # pushed in reverse, so they pop in (ti, sj, rl) order
             stack.extend([(ti, sj, rl) for ti in tc for sj in sc for rl in rc])
-        elif kind_c != cl.SUBDIVIDED and sub == (kind_b == cl.SUBDIVIDED):
-            # a leaf target of two leaves or of two subdivided blocks; the
-            # latter take A[t,s] B[s,r] exactly, with no projector at s, since
-            # near-field chains passing through s carry content outside
-            # span(V_s) (2-D/3-D accuracy would degrade)
-            groups = work.get(s)
-            if groups is None:
-                groups = work[s] = {}
-            key = (kind_c == cl.ADMISSIBLE, kind_a == cl.ADMISSIBLE,
-                   kind_b == cl.ADMISSIBLE)
-            pairs = groups.get(key)
-            if pairs is None:
-                pairs = groups[key] = ([], [])
-            pairs[0].append(t)
-            pairs[1].append(r)
+            continue
+        a_basis = kind_a == cl.ADMISSIBLE
+        b_basis = kind_b == cl.ADMISSIBLE
+        if kind_c == cl.SUBDIVIDED:
+            left = a_basis or (b_basis and kind_a == cl.SUBDIVIDED)
+            right = b_basis or (a_basis and kind_b == cl.SUBDIVIDED)
         else:
-            _mul_place(c, a, b, t, s, r, sign, ctx)
-
-
-def _mul_place(c, a, b, t, s, r, sign, ctx):
-    """Place A[t,s] @ B[s,r] into C[t,r] by a (core, left, right) triple.
-
-    The outer side of each factor carries over, and the inner side is
-    contracted or absorbs the subdivided operand.
-    """
-    basis = c.basis
-    fa = _leaf_form(a, t, s)
-    fb = _leaf_form(b, s, r)
-    if fa is None:
-        pb, left, right = fb
-        if pb.size == 0:
-            return
-        if left:  # (V_t^H A[t,s] V_s) pb, exact projection of A[t,s] V_s pb
-            core = _family(a, t, s, "R", ctx["a_r"]) @ pb
-        else:
-            core = _block_apply(a, t, s, pb)
-    elif fb is None:
-        pa, left, right = fa
-        if pa.size == 0:
-            return
-        if right:  # pa (V_s^T B[s,r] conj(V_r)), exact projection of pa V_s^T B[s,r]
-            core = pa @ _family(b, s, r, "Q", ctx["b_q"])
-        else:
-            core = _block_apply(b, s, r, pa.T, trans=True).T
-    else:  # two leaves aimed at a subdivided target
-        pa, left, inner_a = fa
-        pb, inner_b, right = fb
-        if pa.size == 0 or pb.size == 0:
-            return
-        if inner_a and inner_b:
-            core = pa @ basis.overlap(s) @ pb
-        elif inner_a:
-            core = pa @ (basis.materialize(s).T @ pb)
-        elif inner_b:
-            core = (pa @ basis.materialize(s)) @ pb
-        else:
-            core = pa @ pb
-    _place(c, t, r, sign * core, left, right, ctx["pending"])
+            left = right = kind_c == cl.ADMISSIBLE
+        ts, rs = work[s][(kind_c, left, right, a_basis, b_basis)]
+        ts.append(t)
+        rs.append(r)
+    return work
 
 
 def _mul_into(c, a, b, t, s, r, sign):
@@ -536,19 +506,16 @@ def _mul_into(c, a, b, t, s, r, sign):
     A and B are read-only for the whole call, and C's target blocks are
     disjoint from the blocks it reads (h2_mul_formatted writes a fresh C,
     every _invert_rec call writes a block other than its operands'), so
-    contributions may be deferred and reordered freely. Three stages:
-    _mul_walk places the contributions that take a (core, left, right)
-    triple and records the leaf-target ones per inner cluster s;
-    _leaf_products adds those as X @ Y, forming the target-frame halves
-    X = frame-left A[t,s] and Y = B[s,r] frame-right of one s at a time
-    (see the comment above _children_or_self) and dropping them after it;
-    _flush_pending splits the merged basis-by-basis payloads aimed at
-    subdivided nodes down the structure once per node.
+    contributions may be deferred and reordered freely. _mul_walk records
+    every contribution with its frames under its inner cluster s;
+    _add_products adds each as X @ Y, forming the halves of one s at a time
+    (see the comment above _lifts); _flush_pending splits the merged
+    basis-by-basis payloads aimed at subdivided nodes down the structure
+    once per node.
     """
-    ctx = {"pending": {}, "work": {}, "a_r": {}, "b_q": {}}
-    _mul_walk(c, a, b, t, s, r, sign, ctx)
-    _leaf_products(c, a, b, ctx["work"], sign)
-    _flush_pending(c, ctx["pending"])
+    pending = {}
+    _add_products(c, a, b, _mul_walk(c, t, s, r), sign, pending)
+    _flush_pending(c, pending)
 
 
 def h2_zeros_like(m):

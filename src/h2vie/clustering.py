@@ -179,8 +179,8 @@ def build_block_tree(tree, eta=1.0):
             bt.inadmissible.append((tid, sid))
         else:
             bt.nodes[(tid, sid)] = SUBDIVIDED
-            tc = [tid] if t.is_leaf else list(t.children())
-            sc = [sid] if s.is_leaf else list(s.children())
+            tc = children_or_self(tree, tid)
+            sc = children_or_self(tree, sid)
             # reversed push keeps discovery order row-major and deterministic
             for ti in reversed(tc):
                 for sj in reversed(sc):
@@ -192,13 +192,16 @@ def build_block_tree(tree, eta=1.0):
     return bt
 
 
+def children_or_self(tree, cid):
+    """The two children of cluster cid, or [cid] itself for a leaf."""
+    c = tree.cluster(cid)
+    return [cid] if c.is_leaf else list(c.children())
+
+
 def block_children(tree, tid, sid):
     """Child block pairs of a subdivided block node."""
-    t = tree.cluster(tid)
-    s = tree.cluster(sid)
-    tc = [tid] if t.is_leaf else list(t.children())
-    sc = [sid] if s.is_leaf else list(s.children())
-    return [(ti, sj) for ti in tc for sj in sc]
+    return [(ti, sj) for ti in children_or_self(tree, tid)
+            for sj in children_or_self(tree, sid)]
 
 
 def sparsity_constant(bt, tree):

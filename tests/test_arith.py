@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from h2vie import arith, build, kernel
+from h2vie import arith, build, clustering, kernel
 from h2vie.arith import (
     SingularLeafError,
     StructureMismatchError,
@@ -38,8 +38,8 @@ def _operator(kind, dims, n_min):
 
 
 # rod130 and cube3 have leaves at two or more tree levels. Uniform-depth
-# trees never split dense or half-basis payloads nor meet a dense leaf
-# under two subdivided operands; these trees do.
+# trees never aim a payload with an identity side at a subdivided target,
+# nor meet a dense target under a subdivided operand; these trees do.
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +52,12 @@ def rod130():
 def cube3():
     """3 x 1 x 1 cube array, N = 81; its products run every split branch."""
     return _operator("cube_array", [3, 1, 1], 20)
+
+
+@pytest.fixture(scope="module")
+def slab35():
+    """3.5 x 3.5 wavelength slab, N = 1225."""
+    return _operator("slab", [3.5, 3.5], 32)
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +273,25 @@ class TestFormattedMul:
                 prod = build.materialize(h2_mul_formatted(x, y))
                 assert np.linalg.norm(prod - ref) / np.linalg.norm(ref) <= bound
 
+    def test_dense_target_contributions_are_exact(self, cube3):
+        # a dense target takes A[t,s] B[s,r] whole when one operand is
+        # subdivided and the other admissible; projecting the subdivided one
+        # through a leaf basis would lose it (the basis at t = 5 has rank 0)
+        _, _, h2, _ = cube3
+        tree, kind = h2.tree, h2.btree.kind
+        mixed = {clustering.SUBDIVIDED, clustering.ADMISSIBLE}
+        triples = [(t, s, r) for t, r in h2.btree.inadmissible for s in range(len(tree))
+                   if {kind((t, s)), kind((s, r))} == mixed]
+        assert triples
+        full = build.materialize(h2)
+        for t, s, r in triples:
+            c = h2_zeros_like(h2)
+            arith._mul_into(c, h2, h2, t, s, r, 1)
+            rows, inner, cols = (tree.indices(x) for x in (t, s, r))
+            ref = full[np.ix_(rows, inner)] @ full[np.ix_(inner, cols)]
+            got = build.materialize(c)[np.ix_(rows, cols)]
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
     def test_product_on_cube_array(self, cube2, cube3):
         # 3-D products push more energy outside the fixed bases than 1-D
         # ones; the error stays at the percent level that the direct
@@ -286,10 +311,10 @@ class TestInverse:
         x = _cvec(rng, geom.n)
         assert np.allclose(matvec(inv, x), x, atol=1e-13)
 
-    def test_rod_inverse_residual(self, rod164, rod130, cube3, cube533):
+    def test_rod_inverse_residual(self, rod164, rod130, cube3, slab35, cube533):
         for m in (rod130, cube3):
             assert len(_leaf_levels(m[2])) >= 2
-        for _, _, h2, dense in (rod164, rod130, cube3, cube533):
+        for _, _, h2, dense in (rod164, rod130, cube3, slab35, cube533):
             inv = h2_invert(h2)
             resid = np.linalg.norm(
                 np.eye(h2.n) - dense @ build.materialize(inv)
