@@ -10,10 +10,10 @@ bases of the operands fixed, projecting whatever falls outside them; the
 recursive inverse is built from those two operations and dense leaf
 inverses, and returns a matrix with the same structure as its input.
 The product has one contribution rule: each operand block is taken once
-into a left or right frame, a cluster basis or the identity, set by the
-target block and the operand kinds, and the contribution is the product
-of the two halves, added by one GEMM into a leaf target or split down
-into the leaves of a subdivided one.
+into a left or right frame, the identity for a dense target block and
+the cluster bases for any other, and the contribution is the product of
+the two halves, added by one GEMM into a leaf target or merged at a
+subdivided one and split down into its leaves.
 
 Because the bases are complex with V^H V = I while blocks are represented
 as V_t S V_s^T (plain transpose), every product and projection rule below
@@ -98,11 +98,7 @@ def matvec(h2, x):
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (h2.n,):
         raise ValueError(f"expected vector of length {h2.n}")
-    perm = h2.tree.perm
-    yp = _apply_perm(h2, x[perm][:, None])[:, 0]
-    y = np.empty_like(yp)
-    y[perm] = yp
-    return y
+    return matmat_apply(h2, x[:, None])[:, 0]
 
 
 _COL_BLOCK = 256
@@ -150,53 +146,40 @@ def h2_add_formatted(target, addend, sign=1):
 # ---------------------------------------------------------------------------
 #
 # The product below walks the triples (t, s, r) with (t, s) a block of A and
-# (s, r) a block of B, accumulating A[t,s] @ B[s,r] into C[t,r]. A triple of
+# (s, r) a block of B, accumulating A[t,s] @ B[s,r] into C[t,r]. Every block
+# pairs two clusters of one level, so t, s and r share a level. A triple of
 # three subdivided nodes expands into its children; every other triple adds
 # one contribution X @ Y, a product of two halves, X = A[t,s] in a left
 # frame and Y = B[s,r] in a right frame.
 #
-# Frames. A left frame is V_t^H (a basis) or the identity, a right frame
-# conj(V_r) or the identity. A leaf target sets both: its bases if it is a
-# coupling, the identity if it is dense. A subdivided target takes each
-# operand's outer side: a basis for an admissible operand, the identity
-# for a dense one, and for a subdivided operand a basis exactly when the
-# other operand meets it with a basis. That last projection is lossy like
-# a coupling target's, but keeps such a pair at O(k^3) work.
+# Frames. The target alone sets them: the identity on both sides if C[t,r]
+# is dense, the bases V_t^H on the left and conj(V_r) on the right if it is
+# a coupling or subdivided. For a subdivided target that projection is
+# lossy like a coupling target's, but keeps such a pair at O(k^3) work. A
+# dense target lies on the leaf level, so its operands are leaves too.
 #
 # Halves. Per operand kind, basis / identity frame:
 #   X = frame-left A[t,s]:   S or V_t S (admissible), V_t^H D or D (dense),
-#                            V_t^H A[t,s] or A[t,s] (subdivided)
+#                            V_t^H A[t,s] (subdivided)
 #   Y = B[s,r] frame-right:  S or S V_r^T, D conj(V_r) or D,
-#                            B[s,r] conj(V_r) or B[s,r]
+#                            B[s,r] conj(V_r)
 # An admissible half keeps its basis on the inner side (V_s^T after an
 # A-half, V_s before a B-half), and the inner cluster s is contracted into
 # the halves: overlap(s) = V_s^T V_s joins X when both keep a basis, V_s
 # joins X when only Y keeps one, V_s^T joins Y when only X keeps one. No
 # projector is applied at s, since near-field chains passing through s
-# carry content outside span(V_s). A subdivided half in a basis frame
-# facing a basis is thus its R/Q family (below); in the identity frame it
-# is the block applied to the identity of its smaller side, which is a
-# leaf of at most n_min points wherever that frame occurs. A half depends
-# on its operand block, its frame and the other side's kind only.
+# carry content outside span(V_s). A subdivided half facing a basis is
+# thus its R/Q family (below). A half depends on its operand block, its
+# frame and the other side's kind only.
 #
 # Delivery. The walk records the contributions as (t, r) lists per inner
 # cluster s; _add_products then forms the halves of one s at a time, adds
 # every X @ Y, and drops them before the next s. Every X(t, s) and Y(s, r)
 # meets all its partners inside one group, so nothing is formed twice, and
 # only one group's halves are alive at a time. A leaf target takes X @ Y by
-# one zgemm. A subdivided target takes it as the payload L (X @ Y) R^T,
-# with L = V_t for a basis frame and I for the identity (R likewise):
-# _place projects a non-basis side onto a coupling target below, expands a
-# basis side into a dense target below, and splits through the transfer
-# matrices on the way down, exactly.
-
-
-def _lifts(basis, tree, cid):
-    """(child, transfer) pairs of cid, or [(cid, None)] for a leaf."""
-    c = tree.cluster(cid)
-    if c.is_leaf:
-        return [(cid, None)]
-    return list(zip(c.children(), basis.transfers[cid]))
+# one zgemm. A subdivided target takes it as the payload V_t (X @ Y) V_r^T,
+# merged per node; _flush_pending lands the merged payloads top down,
+# splitting them through the transfer matrices on the way, exactly.
 
 
 def _block_apply(m, t, s, x, trans=False):
@@ -220,23 +203,14 @@ def _block_apply(m, t, s, x, trans=False):
     out = np.zeros((tree.cluster(u).size, x.shape[1]), dtype=np.complex128)
     u0 = tree.cluster(u).start
     v0 = tree.cluster(v).start
-    for ti in cl.children_or_self(tree, t):
-        for sj in cl.children_or_self(tree, s):
+    for ti in tree.cluster(t).children():
+        for sj in tree.cluster(s).children():
             cu = tree.cluster(sj if trans else ti)
             cv = tree.cluster(ti if trans else sj)
             out[cu.start - u0:cu.stop - u0] += _block_apply(
                 m, ti, sj, x[cv.start - v0:cv.stop - v0], trans
             )
     return out
-
-
-def _block_array(m, t, s):
-    """M[t,s] as an array, applied to the identity of its smaller side."""
-    n_t = m.tree.cluster(t).size
-    n_s = m.tree.cluster(s).size
-    if n_t < n_s:
-        return _block_apply(m, t, s, np.eye(n_t, dtype=np.complex128), trans=True).T
-    return _block_apply(m, t, s, np.eye(n_s, dtype=np.complex128))
 
 
 # Basis-projected views of whole sub-blocks, each a small k x k matrix:
@@ -276,18 +250,15 @@ def _family(op, u, v, mode, memo):
     else:
         # out = sum_i Lu_i (sum_j F_ij Rv_j): each child family lifted into
         # (u, v) by its transfers, T^H / T on the left and T / conj(T) on the
-        # right for R / Q; a leaf side keeps its one cluster and no transfer
-        rights = _lifts(basis, tree, v)
+        # right for R / Q
+        rights = list(zip(tree.cluster(v).children(), basis.transfers[v]))
         out = None
-        for ui, t_u in _lifts(basis, tree, u):
+        for ui, t_u in zip(tree.cluster(u).children(), basis.transfers[u]):
             row = None
             for vj, t_v in rights:
-                f = _family(op, ui, vj, mode, memo)
-                if t_v is not None:
-                    f = f @ (t_v if mode == "R" else t_v.conj())
+                f = _family(op, ui, vj, mode, memo) @ (t_v if mode == "R" else t_v.conj())
                 row = f if row is None else row + f
-            if t_u is not None:
-                row = (t_u.T if mode == "Q" else t_u.conj().T) @ row
+            row = (t_u.T if mode == "Q" else t_u.conj().T) @ row
             out = row if out is None else out + row
     memo[key] = out
     return out
@@ -306,13 +277,11 @@ def _half_a(a, t, s, left, b_basis, memo):
         x = a.dense[(t, s)]
         if left:
             x = basis.materialize(t).conj().T @ x
-    elif left and b_basis:
+        return x @ basis.materialize(s) if b_basis else x
+    # subdivided, so t is no leaf and the frame is V_t^H
+    if b_basis:
         return _family(a, t, s, "R", memo)
-    elif left:  # (A[t,s]^T conj(V_t))^T
-        x = _block_apply(a, t, s, basis.materialize(t).conj(), trans=True).T
-    else:
-        x = _block_array(a, t, s)
-    return x @ basis.materialize(s) if b_basis else x
+    return _block_apply(a, t, s, basis.materialize(t).conj(), trans=True).T
 
 
 def _half_b(b, s, r, right, a_basis, memo):
@@ -326,33 +295,40 @@ def _half_b(b, s, r, right, a_basis, memo):
         y = b.dense[(s, r)]
         if right:
             y = y @ basis.materialize(r).conj()
-    elif right and a_basis:
+        return basis.materialize(s).T @ y if a_basis else y
+    # subdivided, so r is no leaf and the frame is conj(V_r)
+    if a_basis:
         return _family(b, s, r, "Q", memo)
-    elif right:
-        y = _block_apply(b, s, r, basis.materialize(r).conj())
-    else:
-        y = _block_array(b, s, r)
-    return basis.materialize(s).T @ y if a_basis else y
+    return _block_apply(b, s, r, basis.materialize(r).conj())
 
 
-def _add_products(c, a, b, work, sign, pending):
+def _merge(payloads, key, core):
+    got = payloads.get(key)
+    payloads[key] = core if got is None else got + core
+
+
+def _add_products(c, a, b, work, sign):
     """Add every recorded contribution sign * X @ Y into C.
 
-    `work` maps the inner cluster s to {(kind_c, left, right, a_basis,
-    b_basis): (ts, rs)}, one (t, r) pair per contribution. The halves of one
-    s are formed on first use and dropped once its pairs are done. A leaf
-    target takes one zgemm that accumulates out^T += sign * Y^T X^T into the
-    Fortran view of the C-contiguous target block, so nothing is allocated;
-    a block of another layout would be copied and the sum lost, hence the
-    check. A subdivided target takes the payload through _place.
+    `work` maps the inner cluster s to {(kind_c, a_basis, b_basis): (ts,
+    rs)}, one (t, r) pair per contribution. The halves of one s are formed
+    on first use and dropped once its pairs are done. A leaf target takes
+    one zgemm that accumulates out^T += sign * Y^T X^T into the Fortran view
+    of the C-contiguous target block, so nothing is allocated; a block of
+    another layout would be copied and the sum lost, hence the check. A
+    subdivided target's payload is merged into the returned pending[level]
+    for _flush_pending.
     """
+    tree = c.tree
+    pending = [{} for _ in range(tree.depth)]  # level -> {(t, r): core}
     a_r, b_q = {}, {}  # R/Q family memos, shared by every s
     for s, groups in work.items():
-        xs = {}  # (left, b_basis) -> {t: X}
-        ys = {}  # (right, a_basis) -> {r: Y}
-        for (kind_c, left, right, a_basis, b_basis), (ts, rs) in groups.items():
-            x_of = xs.setdefault((left, b_basis), {})
-            y_of = ys.setdefault((right, a_basis), {})
+        xs = {}  # (frame, b_basis) -> {t: X}
+        ys = {}  # (frame, a_basis) -> {r: Y}
+        for (kind_c, a_basis, b_basis), (ts, rs) in groups.items():
+            frame = kind_c != cl.INADMISSIBLE
+            x_of = xs.setdefault((frame, b_basis), {})
+            y_of = ys.setdefault((frame, a_basis), {})
             leaf = kind_c != cl.SUBDIVIDED
             targets = c.coupling if kind_c == cl.ADMISSIBLE else c.dense
             for t, r in zip(ts, rs):
@@ -364,117 +340,59 @@ def _add_products(c, a, b, work, sign, pending):
                         raise ValueError("product targets must be C-contiguous complex blocks")
                 x = x_of.get(t)
                 if x is None:
-                    x = x_of[t] = _half_a(a, t, s, left, b_basis, a_r)
+                    x = x_of[t] = _half_a(a, t, s, frame, b_basis, a_r)
                 y = y_of.get(r)
                 if y is None:
-                    y = y_of[r] = _half_b(b, s, r, right, a_basis, b_q)
+                    y = y_of[r] = _half_b(b, s, r, frame, a_basis, b_q)
                 if leaf:
                     zgemm(sign, y.T, x.T, beta=1.0, c=out.T, overwrite_c=True)
                 else:
-                    _place(c, t, r, sign * (x @ y), left, right, pending)
-
-
-def _split(tree, basis, t, r, core, left, right):
-    """Yield (ti, rj, part): the payload over each child block of (t, r).
-
-    A basis side passes its child's transfer matrix, an identity side its
-    child's slice of rows or columns; the left side is done once per row
-    of children. Exact.
-    """
-    t0 = tree.cluster(t).start
-    r0 = tree.cluster(r).start
-    rights = _lifts(basis, tree, r)
-    for ti, tr_t in _lifts(basis, tree, t):
-        if not left:
-            ct = tree.cluster(ti)
-            rows = core[ct.start - t0:ct.stop - t0]
-        else:
-            rows = core if tr_t is None else tr_t @ core
-        for rj, tr_r in rights:
-            if not right:
-                cr = tree.cluster(rj)
-                part = rows[:, cr.start - r0:cr.stop - r0]
-            else:
-                part = rows if tr_r is None else rows @ tr_r.T
-            yield ti, rj, part
-
-
-def _place(c, t, r, core, left, right, pending):
-    """Accumulate the (t, r)-supported payload L core R^T into C's structure.
-
-    A coupling target takes the payload projected onto its bases, a dense
-    target takes it expanded, and a subdivided target splits it exactly
-    among its children. Basis-by-basis payloads aimed at a subdivided node
-    are deferred into `pending` instead, so overlapping contributions merge
-    and the expensive downward splitting happens once per node (see
-    _flush_pending).
-    """
-    if core.size == 0:
-        return
-    basis = c.basis
-    kind = c.btree.kind((t, r))
-    if kind == cl.ADMISSIBLE:
-        if not left:
-            core = basis.materialize(t).conj().T @ core
-        if not right:
-            core = core @ basis.materialize(r).conj()
-        c.coupling[(t, r)] += core
-    elif kind == cl.INADMISSIBLE:
-        if left:
-            core = basis.materialize(t) @ core
-        if right:
-            core = core @ basis.materialize(r).T
-        c.dense[(t, r)] += core
-    elif left and right:
-        got = pending.get((t, r))
-        pending[(t, r)] = core if got is None else got + core
-    else:
-        for ti, rj, part in _split(c.tree, basis, t, r, core, left, right):
-            _place(c, ti, rj, part, left, right, pending)
+                    core = sign * (x @ y)
+                    if core.size:
+                        _merge(pending[tree.cluster(t).level], (t, r), core)
+    return pending
 
 
 def _flush_pending(c, pending):
-    """Push merged basis-by-basis payloads down the structure, top level first.
+    """Land the merged payloads V_t core V_r^T, top level first.
 
-    Each (t, r) node is visited once no matter how many contributions were
-    aimed at it, which keeps one full product at O(nodes) placement work.
+    A coupling adds its core, a dense leaf expands it, and a subdivided node
+    splits it exactly through the transfer matrices of its children (the
+    left one once per row of children) into pending one level down, where
+    it merges with what was aimed there. Each (t, r) node is visited once no
+    matter how many contributions were aimed at it, which keeps one full
+    product at O(nodes) placement work.
     """
     tree = c.tree
-    by_depth = {}
-
-    def push(key, payload):
-        d = tree.cluster(key[0]).level + tree.cluster(key[1]).level
-        bucket = by_depth.setdefault(d, {})
-        got = bucket.get(key)
-        bucket[key] = payload if got is None else got + payload
-
-    for key, payload in pending.items():
-        push(key, payload)
-    for depth in range(2 * tree.depth + 1):
-        bucket = by_depth.pop(depth, None)
-        if not bucket:
-            continue
-        for (t, r), payload in bucket.items():
-            if c.btree.kind((t, r)) != cl.SUBDIVIDED:
-                _place(c, t, r, payload, True, True, None)
-                continue
-            for ti, rj, part in _split(tree, c.basis, t, r, payload, True, True):
-                if part.size:
-                    push((ti, rj), part)
+    basis = c.basis
+    for level, payloads in enumerate(pending):
+        for (t, r), core in payloads.items():
+            kind = c.btree.kind((t, r))
+            if kind == cl.ADMISSIBLE:
+                c.coupling[(t, r)] += core
+            elif kind == cl.INADMISSIBLE:
+                c.dense[(t, r)] += basis.materialize(t) @ core @ basis.materialize(r).T
+            else:
+                rights = list(zip(tree.cluster(r).children(), basis.transfers[r]))
+                for ti, tr_t in zip(tree.cluster(t).children(), basis.transfers[t]):
+                    rows = tr_t @ core
+                    for rj, tr_r in rights:
+                        part = rows @ tr_r.T
+                        if part.size:
+                            _merge(pending[level + 1], (ti, rj), part)
 
 
 def _mul_walk(c, t, s, r):
     """Record every contribution below (t, s, r) once, depth first.
 
     A triple of three subdivided nodes expands into its children. Every
-    other one is recorded as {s: {(kind_c, left, right, a_basis, b_basis):
-    (ts, rs)}}: the target's kind, each side's frame (True for a basis) and
-    whether each operand keeps a basis at s.
+    other one is recorded as {s: {(kind_c, a_basis, b_basis): (ts, rs)}}:
+    the target's kind and whether each operand keeps a basis at s.
     """
     # the operands share C's block tree; nodes.get is btree.kind without
     # its call frame, which counts at ~10^5 triples per product
     kind = c.btree.nodes.get
-    tree = c.tree
+    clusters = c.tree.clusters
     work = defaultdict(lambda: defaultdict(lambda: ([], [])))
     stack = [(t, s, r)]
     while stack:
@@ -483,18 +401,11 @@ def _mul_walk(c, t, s, r):
         kind_a = kind((t, s))
         kind_b = kind((s, r))
         if kind_c == kind_a == kind_b == cl.SUBDIVIDED:
-            tc, sc, rc = (cl.children_or_self(tree, x)[::-1] for x in (t, s, r))
+            tc, sc, rc = (clusters[x].children()[::-1] for x in (t, s, r))
             # pushed in reverse, so they pop in (ti, sj, rl) order
             stack.extend([(ti, sj, rl) for ti in tc for sj in sc for rl in rc])
             continue
-        a_basis = kind_a == cl.ADMISSIBLE
-        b_basis = kind_b == cl.ADMISSIBLE
-        if kind_c == cl.SUBDIVIDED:
-            left = a_basis or (b_basis and kind_a == cl.SUBDIVIDED)
-            right = b_basis or (a_basis and kind_b == cl.SUBDIVIDED)
-        else:
-            left = right = kind_c == cl.ADMISSIBLE
-        ts, rs = work[s][(kind_c, left, right, a_basis, b_basis)]
+        ts, rs = work[s][(kind_c, kind_a == cl.ADMISSIBLE, kind_b == cl.ADMISSIBLE)]
         ts.append(t)
         rs.append(r)
     return work
@@ -507,15 +418,12 @@ def _mul_into(c, a, b, t, s, r, sign):
     disjoint from the blocks it reads (h2_mul_formatted writes a fresh C,
     every _invert_rec call writes a block other than its operands'), so
     contributions may be deferred and reordered freely. _mul_walk records
-    every contribution with its frames under its inner cluster s;
-    _add_products adds each as X @ Y, forming the halves of one s at a time
-    (see the comment above _lifts); _flush_pending splits the merged
-    basis-by-basis payloads aimed at subdivided nodes down the structure
-    once per node.
+    every contribution under its inner cluster s; _add_products adds each
+    as X @ Y in the frames its target sets, forming the halves of one s at
+    a time (see the comment above _block_apply); _flush_pending lands the
+    payloads merged at subdivided nodes down the structure once per node.
     """
-    pending = {}
-    _add_products(c, a, b, _mul_walk(c, t, s, r), sign, pending)
-    _flush_pending(c, pending)
+    _flush_pending(c, _add_products(c, a, b, _mul_walk(c, t, s, r), sign))
 
 
 def h2_zeros_like(m):

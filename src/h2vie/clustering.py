@@ -1,11 +1,14 @@
 """Geometric cluster tree and block cluster tree.
 
 The cluster tree recursively bisects the point cloud along the longest
-bounding-box edge at the median coordinate, keeping child sizes within one
-of each other. The block cluster tree partitions the N x N index square
+bounding-box edge at the median coordinate, keeping the sizes on one level
+within one of each other. Every branch is split down to one leaf level,
+the first at which every cluster holds at most n_min points, so all leaves
+share a level. The block cluster tree partitions the N x N index square
 into admissible (well separated) and inadmissible leaf blocks under the
 strong admissibility condition max(diam) <= eta * dist, evaluated on
-axis-aligned bounding boxes.
+axis-aligned bounding boxes; each of its nodes pairs two clusters of the
+same level.
 
 Both structures are immutable after construction and safe to share.
 """
@@ -46,7 +49,13 @@ class Cluster:
 
 
 class ClusterTree:
-    """Balanced binary spatial partition of a set of 3-D points."""
+    """Balanced binary spatial partition of a set of 3-D points.
+
+    The leaves all sit on the smallest level l with N <= n_min * 2^l. Sizes
+    on one level differ by at most one, so with n_min >= 2 every cluster
+    above that level holds at least two points and splits into two
+    non-empty halves.
+    """
 
     def __init__(self, points, n_min):
         points = np.ascontiguousarray(points, dtype=np.float64)
@@ -56,15 +65,18 @@ class ClusterTree:
             raise ValueError("points must be non-empty")
         if not np.all(np.isfinite(points)):
             raise ValueError("points must be finite")
-        if n_min < 1:
-            raise ValueError("n_min must be >= 1")
+        if n_min < 2:
+            raise ValueError("n_min must be >= 2")
         self.points = points
         self.n_min = int(n_min)
         self.perm = np.arange(points.shape[0])
         self.clusters: list[Cluster] = []
+        leaf_level = 0
+        while points.shape[0] > self.n_min * 2**leaf_level:
+            leaf_level += 1
+        self.depth = leaf_level + 1
         self._build(0, points.shape[0], 0, -1)
         self.root = 0
-        self.depth = 1 + max(c.level for c in self.clusters)
         self.levels = [[] for _ in range(self.depth)]
         for c in self.clusters:
             self.levels[c.level].append(c.id)
@@ -78,7 +90,7 @@ class ClusterTree:
         node = Cluster(cid, start, stop, level, lo, hi, parent=parent)
         self.clusters.append(node)
         n = stop - start
-        if n <= self.n_min:
+        if level == self.depth - 1:
             return cid
         axis = int(np.argmax(hi - lo))
         # stable sort keeps tied coordinates in index order -> deterministic
@@ -160,9 +172,9 @@ class BlockClusterTree:
 def build_block_tree(tree, eta=1.0):
     """Descend from (root, root), stopping at admissible pairs or leaf pairs.
 
-    When exactly one side is a leaf the recursion descends the other side
-    only, so mixed-level blocks appear for cluster counts that are not a
-    power of two; inadmissible leaves still only pair leaf clusters.
+    A node pairs two clusters of the same level, so it pairs two leaves or
+    two parents; a non-admissible pair of parents subdivides into the four
+    pairs of their children.
     """
     bt = BlockClusterTree(eta=eta)
     stack = [(tree.root, tree.root)]
@@ -174,16 +186,14 @@ def build_block_tree(tree, eta=1.0):
             bt.nodes[(tid, sid)] = ADMISSIBLE
             bt.admissible.append((tid, sid))
             bt.partners.setdefault(tid, []).append(sid)
-        elif t.is_leaf and s.is_leaf:
+        elif t.is_leaf:  # s shares t's level, so it is a leaf too
             bt.nodes[(tid, sid)] = INADMISSIBLE
             bt.inadmissible.append((tid, sid))
         else:
             bt.nodes[(tid, sid)] = SUBDIVIDED
-            tc = children_or_self(tree, tid)
-            sc = children_or_self(tree, sid)
             # reversed push keeps discovery order row-major and deterministic
-            for ti in reversed(tc):
-                for sj in reversed(sc):
+            for ti in reversed(t.children()):
+                for sj in reversed(s.children()):
                     stack.append((ti, sj))
     bt.admissible.sort()
     bt.inadmissible.sort()
@@ -192,16 +202,10 @@ def build_block_tree(tree, eta=1.0):
     return bt
 
 
-def children_or_self(tree, cid):
-    """The two children of cluster cid, or [cid] itself for a leaf."""
-    c = tree.cluster(cid)
-    return [cid] if c.is_leaf else list(c.children())
-
-
 def block_children(tree, tid, sid):
     """Child block pairs of a subdivided block node."""
-    return [(ti, sj) for ti in children_or_self(tree, tid)
-            for sj in children_or_self(tree, sid)]
+    return [(ti, sj) for ti in tree.cluster(tid).children()
+            for sj in tree.cluster(sid).children()]
 
 
 def sparsity_constant(bt, tree):

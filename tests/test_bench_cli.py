@@ -228,6 +228,16 @@ class TestCli:
     def test_bad_config_exit_code(self, capsys):
         assert main(["solve", "--set", "bogus=1"]) == 1
 
+    def test_nmin_below_two_exit_code(self, tmp_path, capsys):
+        rc = main([
+            "solve",
+            "--set", "n_min=1",
+            "--set", f"out={tmp_path/'s.csv'}",
+            "--set", f"solution_out={tmp_path/'sol.txt'}",
+        ])
+        assert rc == 1
+        assert "n_min must be >= 2" in capsys.readouterr().err
+
     def test_empty_sweep_exit_code(self, tmp_path, capsys):
         rc = main([
             "rank-study", "--set", "sweep=", "--set", f"out={tmp_path/'r.csv'}",

@@ -33,9 +33,31 @@ class TestClusterTree:
         sizes = {t.cluster(root.child_lo).size, t.cluster(root.child_hi).size}
         assert sizes == {4, 3}
 
-    def test_nmin_zero_rejected(self):
-        with pytest.raises(ValueError):
-            cl.ClusterTree(_line(4), n_min=0)
+    @pytest.mark.parametrize("n_min", [0, 1])
+    def test_nmin_zero_rejected(self, n_min):
+        with pytest.raises(ValueError, match="n_min must be >= 2"):
+            cl.ClusterTree(_line(4), n_min=n_min)
+
+    def test_one_leaf_level(self, rng):
+        # rod130 and cube3 have level sizes that straddle n_min; stopping each
+        # branch at n_min points would put their leaves on two levels
+        k0 = 2 * np.pi
+        cases = [
+            (kernel.generate_geometry("rod", [13.0], 10, k0).centers, 32),  # N = 130
+            (kernel.generate_geometry("cube_array", [3, 1, 1], 10, k0).centers, 20),  # N = 81
+            (rng.normal(size=(137, 3)), 6),
+            (rng.normal(size=(1000, 3)), 32),
+            (_line(7), 2),
+        ]
+        for pts, n_min in cases:
+            t = cl.ClusterTree(pts, n_min)
+            leaves = [t.cluster(c) for c in t.leaves()]
+            assert {c.level for c in leaves} == {t.depth - 1}
+            assert max(c.size for c in leaves) <= n_min
+            if t.depth > 1:
+                assert max(t.cluster(c).size for c in t.levels[t.depth - 2]) > n_min
+            bt = cl.build_block_tree(t, 1.0)
+            assert all(t.cluster(a).level == t.cluster(b).level for a, b in bt.nodes)
 
     def test_duplicate_points_are_legal(self):
         pts = np.zeros((6, 3))
