@@ -101,19 +101,14 @@ def matvec(h2, x):
     return matmat_apply(h2, x[:, None])[:, 0]
 
 
-_COL_BLOCK = 256
-
-
 def matmat_apply(h2, rhs_block):
-    """Apply to an (n, q) dense block, column-chunked for cache friendliness."""
+    """Apply to an (n, q) dense block, all q columns in one sweep."""
     rhs_block = np.asarray(rhs_block, dtype=np.complex128)
     if rhs_block.ndim != 2 or rhs_block.shape[0] != h2.n:
         raise ValueError(f"expected ({h2.n}, q) block")
     perm = h2.tree.perm
     out = np.empty_like(rhs_block)
-    for j0 in range(0, rhs_block.shape[1], _COL_BLOCK):
-        chunk = rhs_block[perm, j0:j0 + _COL_BLOCK]
-        out[perm, j0:j0 + _COL_BLOCK] = _apply_perm(h2, chunk)
+    out[perm] = _apply_perm(h2, rhs_block[perm])
     return out
 
 
@@ -571,8 +566,7 @@ def bicgstab_solve(apply, rhs, tol=1e-3, max_iter=200, seed=0, shadow=None):
     r = b.copy()
     r_hat = r.copy() if shadow is None else np.asarray(shadow, dtype=np.complex128).copy()
     rho = alpha = omega = 1.0 + 0j
-    v = np.zeros(n, dtype=np.complex128)
-    p = np.zeros(n, dtype=np.complex128)
+    p = None  # no search direction yet: the first one is r
     history = []
     converged = False
     restarted = False
@@ -591,13 +585,12 @@ def bicgstab_solve(apply, rhs, tol=1e-3, max_iter=200, seed=0, shadow=None):
                 rng.standard_normal(n) + 1j * rng.standard_normal(n)
             )
             rho = alpha = omega = 1.0 + 0j
-            v[:] = 0
-            p[:] = 0
+            p = None
             restarted = True
             rho_new = np.vdot(r_hat, r)
             if abs(rho_new) < breakdown * max(1.0, bnrm**2):
                 break
-        if it == 1 or np.all(p == 0):
+        if p is None:
             p = r.copy()
         else:
             beta = (rho_new / rho) * (alpha / omega)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.linalg
@@ -20,28 +20,11 @@ import scipy.linalg
 from . import arith, build, clustering, kernel
 from .linalg import CompressionParams
 
-CSV_COLUMNS = [
-    "experiment",
-    "N",
-    "lambda",
-    "level",
-    "max_rank",
-    "csp",
-    "rep_error",
-    "inv_residual",
-    "iterations",
-    "build_s",
-    "matvec_s",
-    "inverse_s",
-    "solve_s",
-    "peak_mem",
-]
-
-_INT_FIELDS = {"N", "level", "max_rank", "csp", "iterations", "peak_mem"}
-
 
 @dataclass
 class BenchRecord:
+    """One CSV row; the fields, in order, are the CSV columns."""
+
     experiment: str
     N: int | None = None
     lam: float | None = None
@@ -55,22 +38,26 @@ class BenchRecord:
     matvec_s: float | None = None
     inverse_s: float | None = None
     solve_s: float | None = None
-    peak_mem: float | None = None
+    peak_mem: int | float | None = None  # the `slopes` row stores a fitted slope
 
     def row(self):
-        vals = [self.experiment, self.N, self.lam, self.level, self.max_rank,
-                self.csp, self.rep_error, self.inv_residual, self.iterations,
-                self.build_s, self.matvec_s, self.inverse_s, self.solve_s,
-                self.peak_mem]
         out = []
-        for col, v in zip(CSV_COLUMNS, vals):
+        for f in fields(self):
+            v = getattr(self, f.name)
             if v is None:
                 out.append("")
-            elif col in _INT_FIELDS and float(v) == int(v):
+            elif isinstance(v, str):
+                out.append(v)
+            elif f.name in _INT_FIELDS and float(v) == int(v):
                 out.append(str(int(v)))
             else:
-                out.append(repr(float(v)) if not isinstance(v, str) else v)
+                out.append(repr(float(v)))
         return out
+
+
+CSV_COLUMNS = ["lambda" if f.name == "lam" else f.name for f in fields(BenchRecord)]
+# annotations are strings under `from __future__ import annotations`
+_INT_FIELDS = {f.name for f in fields(BenchRecord) if "int" in f.type.split(" | ")}
 
 
 def emit_csv(records, path):
@@ -83,27 +70,23 @@ def emit_csv(records, path):
     return path
 
 
+def _cell(f, val):
+    if val == "":
+        return None
+    if f.name == "experiment":
+        return val
+    if f.name in _INT_FIELDS and "." not in val and "e" not in val:
+        return int(val)
+    return float(val)
+
+
 def parse_csv(path):
     """Read back a benchmark CSV into records (round-trip of emit_csv)."""
-    out = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_COLUMNS:
+        if next(reader) != CSV_COLUMNS:
             raise ValueError("unexpected CSV header")
-        for row in reader:
-            kw = {}
-            for col, val, fld in zip(CSV_COLUMNS, row, fields(BenchRecord)):
-                if val == "":
-                    kw[fld.name] = None
-                elif col == "experiment":
-                    kw[fld.name] = val
-                elif col in _INT_FIELDS and "." not in val and "e" not in val:
-                    kw[fld.name] = int(val)
-                else:
-                    kw[fld.name] = float(val)
-            out.append(BenchRecord(**kw))
-    return out
+        return [BenchRecord(*map(_cell, fields(BenchRecord), row)) for row in reader]
 
 
 def median_time(fn, repeats=5, min_time=1e-3):
@@ -144,11 +127,38 @@ def _build(cfg, extent):
     return geom, kp, h2, build_s
 
 
-def _rep_error_if_feasible(cfg, geom, kp, h2):
-    if geom.n > cfg.dense_cap:
-        return None
-    dense = kernel.assemble_dense(geom, kp, cap=cfg.dense_cap)
-    return build.rep_error(h2, dense)
+def _record(experiment, cfg, geom, kp, h2, build_s, **columns):
+    """A record with the structure columns of h2 filled in; `columns` adds the rest.
+
+    rep_error is left empty when the dense oracle would exceed cfg.dense_cap.
+    """
+    rep_error = None
+    if geom.n <= cfg.dense_cap:
+        dense = kernel.assemble_dense(geom, kp, cap=cfg.dense_cap)
+        rep_error = build.rep_error(h2, dense)
+    _, csp = clustering.sparsity_constant(h2.btree, h2.tree)
+    return BenchRecord(
+        experiment, N=geom.n, level=h2.tree.depth - 1, max_rank=h2.max_rank(),
+        csp=csp, rep_error=rep_error, build_s=build_s,
+        peak_mem=h2.storage_bytes(), **columns,
+    )
+
+
+def _timed_solve(cfg, h2, rhs):
+    """One BiCGStab solve on the H² matvec: (x, report, wall seconds)."""
+    t0 = time.perf_counter()
+    x, report = arith.bicgstab_solve(
+        lambda v: arith.matvec(h2, v), rhs, tol=cfg.tol,
+        max_iter=cfg.max_iter, seed=cfg.seed,
+    )
+    return x, report, time.perf_counter() - t0
+
+
+def _timed_invert(h2):
+    """(h2_invert(h2), wall seconds)."""
+    t0 = time.perf_counter()
+    inv = arith.h2_invert(h2)
+    return inv, time.perf_counter() - t0
 
 
 def inverse_residual_estimate(h2, inv, rng, samples=20):
@@ -195,18 +205,11 @@ def run_rank_study(cfg):
         raise ValueError("rank study needs a non-empty size sweep")
     records = []
     for size in cfg.sweep:
-        geom, kp, h2, build_s = _build(cfg, _geometry_extent(cfg, size))
-        err = _rep_error_if_feasible(cfg, geom, kp, h2)
-        _, csp = clustering.sparsity_constant(h2.btree, h2.tree)
-        per_level = h2.rank_per_level()
-        for level in sorted(per_level):
-            records.append(
-                BenchRecord(
-                    "rank_study", N=geom.n, lam=size, level=level,
-                    max_rank=per_level[level], csp=csp, rep_error=err,
-                    build_s=build_s, peak_mem=h2.storage_bytes(),
-                )
-            )
+        built = _build(cfg, _geometry_extent(cfg, size))
+        base = _record("rank_study", cfg, *built, lam=size)
+        per_level = built[2].rank_per_level()
+        records += [replace(base, level=level, max_rank=per_level[level])
+                    for level in sorted(per_level)]
     if cfg.svd_dim:
         for esize in cfg.svd_sizes:
             geom, k0, rows, cols = two_body_pair(cfg.svd_dim, esize, cfg.vpw)
@@ -243,42 +246,24 @@ def run_scaling_study(cfg):
     rng = np.random.default_rng(cfg.seed)
     records = []
     for size in cfg.sweep:
-        geom, kp, h2, build_s = _build(cfg, _geometry_extent(cfg, size))
-        n = geom.n
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        built = _build(cfg, _geometry_extent(cfg, size))
+        geom, _, h2, _ = built
+        x = rng.standard_normal(geom.n) + 1j * rng.standard_normal(geom.n)
         matvec_s = median_time(lambda: arith.matvec(h2, x))
         rhs = kernel.plane_wave_rhs(geom, cfg.k0, [0.0, -1.0, 0.0])
-        t0 = time.perf_counter()
-        _, report = arith.bicgstab_solve(
-            lambda v: arith.matvec(h2, v), rhs, tol=cfg.tol,
-            max_iter=cfg.max_iter, seed=cfg.seed,
-        )
-        solve_s = time.perf_counter() - t0
-        inverse_s = None
-        inv_residual = None
+        _, report, solve_s = _timed_solve(cfg, h2, rhs)
+        inverse_s = inv_residual = None
         if cfg.solver in ("direct", "both"):
-            t0 = time.perf_counter()
-            inv = arith.h2_invert(h2)
-            inverse_s = time.perf_counter() - t0
+            inv, inverse_s = _timed_invert(h2)
             if inverse_s < 1.0:  # sub-second phase: median of 5
-                times = [inverse_s]
-                for _ in range(4):
-                    t0 = time.perf_counter()
-                    arith.h2_invert(h2)
-                    times.append(time.perf_counter() - t0)
-                inverse_s = float(np.median(times))
+                rest = [_timed_invert(h2)[1] for _ in range(4)]
+                inverse_s = float(np.median([inverse_s] + rest))
             inv_residual = inverse_residual_estimate(h2, inv, rng)
-        _, csp = clustering.sparsity_constant(h2.btree, h2.tree)
-        records.append(
-            BenchRecord(
-                "scaling", N=n, lam=size, level=h2.tree.depth - 1,
-                max_rank=h2.max_rank(), csp=csp,
-                rep_error=_rep_error_if_feasible(cfg, geom, kp, h2),
-                inv_residual=inv_residual, iterations=report.iterations,
-                build_s=build_s, matvec_s=matvec_s, inverse_s=inverse_s,
-                solve_s=solve_s, peak_mem=h2.storage_bytes(),
-            )
-        )
+        records.append(_record(
+            "scaling", cfg, *built, lam=size, inv_residual=inv_residual,
+            iterations=report.iterations, matvec_s=matvec_s,
+            inverse_s=inverse_s, solve_s=solve_s,
+        ))
     ns = [r.N for r in records]
     records.append(
         BenchRecord(
@@ -317,31 +302,22 @@ def run_solve(cfg):
     summary carries the convergence flag and, for solver=both, the relative
     discrepancy between the iterative and direct solutions.
     """
-    geom, kp, h2, build_s = _build(cfg, cfg.extent)
+    built = _build(cfg, cfg.extent)
+    geom, _, h2, _ = built
     rng = np.random.default_rng(cfg.seed)
     rhs = kernel.plane_wave_rhs(geom, cfg.k0, [0.0, -1.0, 0.0])
     summary = {"converged": True, "N": geom.n}
-    iterations = None
-    solve_s = None
-    inverse_s = None
-    inv_residual = None
+    columns = {}
     x_it = x_dir = None
 
     if cfg.solver in ("iterative", "both"):
-        t0 = time.perf_counter()
-        x_it, report = arith.bicgstab_solve(
-            lambda v: arith.matvec(h2, v), rhs, tol=cfg.tol,
-            max_iter=cfg.max_iter, seed=cfg.seed,
-        )
-        solve_s = time.perf_counter() - t0
-        iterations = report.iterations
+        x_it, report, columns["solve_s"] = _timed_solve(cfg, h2, rhs)
+        columns["iterations"] = report.iterations
         summary["converged"] = report.converged
     if cfg.solver in ("direct", "both"):
-        t0 = time.perf_counter()
-        inv = arith.h2_invert(h2)
-        inverse_s = time.perf_counter() - t0
+        inv, columns["inverse_s"] = _timed_invert(h2)
         x_dir = arith.apply_inverse_solve(inv, rhs, operator=h2)
-        inv_residual = inverse_residual_estimate(h2, inv, rng)
+        columns["inv_residual"] = inverse_residual_estimate(h2, inv, rng)
 
     solution = x_dir if x_dir is not None else x_it
     write_solution(cfg.solution_out, solution)
@@ -349,14 +325,7 @@ def run_solve(cfg):
         summary["direct_vs_iterative"] = float(
             np.linalg.norm(x_it - x_dir) / np.linalg.norm(x_dir)
         )
-    _, csp = clustering.sparsity_constant(h2.btree, h2.tree)
-    record = BenchRecord(
-        "solve", N=geom.n, lam=cfg.extent[0], level=h2.tree.depth - 1,
-        max_rank=h2.max_rank(), csp=csp,
-        rep_error=_rep_error_if_feasible(cfg, geom, kp, h2),
-        inv_residual=inv_residual, iterations=iterations, build_s=build_s,
-        inverse_s=inverse_s, solve_s=solve_s, peak_mem=h2.storage_bytes(),
-    )
+    record = _record("solve", cfg, *built, lam=cfg.extent[0], **columns)
     emit_csv([record], cfg.out)
     return record, summary
 
@@ -378,10 +347,7 @@ def verify_suite(cfg=None):
     ]
     results = []
     for shape, extent in cases:
-        geom = kernel.generate_geometry(shape, extent, cfg.vpw, cfg.k0)
-        kp = kernel.KernelParams(k0=cfg.k0, eps_r=cfg.eps_r)
-        cp = CompressionParams(cfg.eps_aca, cfg.eps_acc)
-        h2 = build.build_h2(geom, kp, cp, n_min=cfg.n_min, eta=cfg.eta)
+        geom, kp, h2, _ = _build(replace(cfg, shape=shape), extent)
         tree, btree = h2.tree, h2.btree
         n = geom.n
 

@@ -12,7 +12,6 @@ import sys
 
 from . import bench
 from .config import config_field_names, load_config
-from .kernel import backend_name
 
 
 def _add_common(p):
@@ -53,7 +52,6 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    print(f"kernel backend: {backend_name()}")
     try:
         if args.command == "rank-study":
             records = bench.run_rank_study(cfg)

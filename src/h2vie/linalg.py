@@ -207,7 +207,10 @@ def recompress_lowrank(f, eps_acc):
     return LowRankFactor(a, b)
 
 
-def trunc_eig_hermitian(g, eps_acc, herm_tol=1e-12):
+_HERM_TOL = 1e-12  # relative Frobenius norm of g - g^H that counts as Hermitian
+
+
+def trunc_eig_hermitian(g, eps_acc):
     """Accuracy-truncated eigendecomposition of a Hermitian PSD Gram matrix.
 
     Returns (p, k): the k dominant orthonormal eigenvectors, with k the
@@ -219,7 +222,7 @@ def trunc_eig_hermitian(g, eps_acc, herm_tol=1e-12):
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError("expected a square matrix")
     nrm = np.linalg.norm(g)
-    if nrm > 0 and np.linalg.norm(g - g.conj().T) > herm_tol * nrm:
+    if nrm > 0 and np.linalg.norm(g - g.conj().T) > _HERM_TOL * nrm:
         raise NotHermitianError("matrix is not Hermitian to tolerance")
     if g.shape[0] == 0 or nrm == 0.0:
         return np.zeros((g.shape[0], 0), dtype=np.complex128), 0

@@ -121,7 +121,7 @@ class TestMatmat:
         assert np.array_equal(out, np.zeros((h2.n, 3)))
 
     def test_chunking_is_invisible(self, rod164, rng):
-        # 300 columns cross the fixed chunk width
+        # a block far wider than any caller's (at most 64 columns)
         _, _, h2, _ = rod164
         x = rng.standard_normal((h2.n, 300)) + 1j * rng.standard_normal((h2.n, 300))
         exact = build.materialize(h2) @ x

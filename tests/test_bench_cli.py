@@ -45,7 +45,12 @@ class TestCsv:
         path = tmp_path / "empty.csv"
         emit_csv([], path)
         lines = path.read_text().splitlines()
-        assert lines == [",".join(bench.CSV_COLUMNS)]
+        # README.md's header, spelled out: CSV_COLUMNS is derived from
+        # BenchRecord's fields, so comparing against it would check nothing
+        assert lines == [
+            "experiment,N,lambda,level,max_rank,csp,rep_error,inv_residual,"
+            "iterations,build_s,matvec_s,inverse_s,solve_s,peak_mem"
+        ]
 
     def test_one_record_two_lines(self, tmp_path):
         path = tmp_path / "one.csv"
@@ -71,6 +76,9 @@ class TestCsv:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert b"0.5" in raw
+        # integer columns carry no decimal point, peak_mem included
+        emit_csv([BenchRecord("a", N=164, peak_mem=170528)], path)
+        assert path.read_text().splitlines()[1] == "a,164,,,,,,,,,,,,170528"
 
 
 class TestTiming:
