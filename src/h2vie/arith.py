@@ -191,8 +191,6 @@ def _block_apply(m, t, s, x, trans=False):
         return (d.T if trans else d) @ x
     if kind == cl.ADMISSIBLE:
         smat = m.coupling[(t, s)]
-        if smat.size == 0:
-            return np.zeros((tree.cluster(u).size, x.shape[1]), dtype=np.complex128)
         smat = smat.T if trans else smat
         return m.basis.materialize(u) @ (smat @ (m.basis.materialize(v).T @ x))
     out = np.zeros((tree.cluster(u).size, x.shape[1]), dtype=np.complex128)
@@ -597,7 +595,7 @@ def bicgstab_solve(apply, rhs, tol=1e-3, max_iter=200, seed=0, shadow=None):
             p = r + beta * (p - omega * v)
         v = apply(p)
         denom = np.vdot(r_hat, v)
-        if denom == 0:
+        if denom == 0 or not np.isfinite(denom):
             break
         alpha = rho_new / denom
         s = r - alpha * v
@@ -609,7 +607,7 @@ def bicgstab_solve(apply, rhs, tol=1e-3, max_iter=200, seed=0, shadow=None):
             break
         t = apply(s)
         tt = np.vdot(t, t)
-        if tt == 0:
+        if tt == 0 or not np.isfinite(tt):
             break
         omega = np.vdot(t, s) / tt
         if omega == 0:

@@ -20,6 +20,9 @@ import scipy.linalg
 from . import arith, build, clustering, kernel
 from .linalg import CompressionParams
 
+# Extents are in wavelengths, so the model has no length scale: k0 is fixed.
+K0 = 2.0 * np.pi
+
 
 @dataclass
 class BenchRecord:
@@ -118,8 +121,8 @@ def _geometry_extent(cfg, size):
 
 
 def _build(cfg, extent):
-    geom = kernel.generate_geometry(cfg.shape, extent, cfg.vpw, cfg.k0)
-    kp = kernel.KernelParams(k0=cfg.k0, eps_r=cfg.eps_r)
+    geom = kernel.generate_geometry(cfg.shape, extent, cfg.vpw, K0)
+    kp = kernel.KernelParams(k0=K0, eps_r=cfg.eps_r)
     cp = CompressionParams(cfg.eps_aca, cfg.eps_acc)
     t0 = time.perf_counter()
     h2 = build.build_h2(geom, kp, cp, n_min=cfg.n_min, eta=cfg.eta)
@@ -250,7 +253,7 @@ def run_scaling_study(cfg):
         geom, _, h2, _ = built
         x = rng.standard_normal(geom.n) + 1j * rng.standard_normal(geom.n)
         matvec_s = median_time(lambda: arith.matvec(h2, x))
-        rhs = kernel.plane_wave_rhs(geom, cfg.k0, [0.0, -1.0, 0.0])
+        rhs = kernel.plane_wave_rhs(geom, K0, [0.0, -1.0, 0.0])
         _, report, solve_s = _timed_solve(cfg, h2, rhs)
         inverse_s = inv_residual = None
         if cfg.solver in ("direct", "both"):
@@ -305,7 +308,7 @@ def run_solve(cfg):
     built = _build(cfg, cfg.extent)
     geom, _, h2, _ = built
     rng = np.random.default_rng(cfg.seed)
-    rhs = kernel.plane_wave_rhs(geom, cfg.k0, [0.0, -1.0, 0.0])
+    rhs = kernel.plane_wave_rhs(geom, K0, [0.0, -1.0, 0.0])
     summary = {"converged": True, "N": geom.n}
     columns = {}
     x_it = x_dir = None

@@ -129,29 +129,29 @@ class ClusterTree:
         return out
 
 
-def bbox_diameter(lo, hi):
-    return float(np.linalg.norm(hi - lo))
-
-
-def bbox_distance(lo1, hi1, lo2, hi2):
-    gap = np.maximum(0.0, np.maximum(lo2 - hi1, lo1 - hi2))
-    return float(np.linalg.norm(gap))
-
-
-def is_admissible(t, s, eta):
-    """Strong admissibility on bounding boxes: max(diam) <= eta * dist.
+def _admissible(lo_t, hi_t, lo_s, hi_s, eta):
+    """Strong admissibility on rows of (m, 3) bounding boxes: max(diam) <= eta * dist.
 
     Touching or overlapping boxes (dist == 0) are never admissible, which
-    also covers the t == s case.
+    also covers the t == s case. Returns an (m,) bool array.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    dist = bbox_distance(t.bbox_lo, t.bbox_hi, s.bbox_lo, s.bbox_hi)
-    if dist <= 0.0:
-        return False
-    diam = max(bbox_diameter(t.bbox_lo, t.bbox_hi),
-               bbox_diameter(s.bbox_lo, s.bbox_hi))
-    return diam <= eta * dist
+
+    # np.vecdot sums a row in the order np.linalg.norm sums a 3-vector;
+    # another order flips exact ties diam == eta * dist
+    def norm(v):
+        return np.sqrt(np.vecdot(v, v))
+
+    dist = norm(np.maximum(0.0, np.maximum(lo_s - hi_t, lo_t - hi_s)))
+    diam = np.maximum(norm(hi_t - lo_t), norm(hi_s - lo_s))
+    return (dist > 0.0) & (diam <= eta * dist)
+
+
+def is_admissible(t, s, eta):
+    """Strong admissibility of one cluster pair; see _admissible."""
+    return bool(_admissible(t.bbox_lo[None], t.bbox_hi[None],
+                            s.bbox_lo[None], s.bbox_hi[None], eta)[0])
 
 
 @dataclass
@@ -174,31 +174,26 @@ def build_block_tree(tree, eta=1.0):
 
     A node pairs two clusters of the same level, so it pairs two leaves or
     two parents; a non-admissible pair of parents subdivides into the four
-    pairs of their children.
+    pairs of their children. The descent runs one tree level at a time, with
+    one admissibility call per level.
     """
+    lo = np.array([c.bbox_lo for c in tree.clusters])
+    hi = np.array([c.bbox_hi for c in tree.clusters])
+    children = np.array([c.children() for c in tree.clusters])
     bt = BlockClusterTree(eta=eta)
-    stack = [(tree.root, tree.root)]
-    while stack:
-        tid, sid = stack.pop()
-        t = tree.cluster(tid)
-        s = tree.cluster(sid)
-        if is_admissible(t, s, eta):
-            bt.nodes[(tid, sid)] = ADMISSIBLE
-            bt.admissible.append((tid, sid))
-            bt.partners.setdefault(tid, []).append(sid)
-        elif t.is_leaf:  # s shares t's level, so it is a leaf too
-            bt.nodes[(tid, sid)] = INADMISSIBLE
-            bt.inadmissible.append((tid, sid))
-        else:
-            bt.nodes[(tid, sid)] = SUBDIVIDED
-            # reversed push keeps discovery order row-major and deterministic
-            for ti in reversed(t.children()):
-                for sj in reversed(s.children()):
-                    stack.append((ti, sj))
-    bt.admissible.sort()
-    bt.inadmissible.sort()
-    for t in bt.partners:
-        bt.partners[t].sort()
+    t = s = np.array([tree.root])
+    for level in range(tree.depth):
+        adm = _admissible(lo[t], hi[t], lo[s], hi[s], eta)
+        # every leaf sits on the last level, and only leaves do
+        kinds = (SUBDIVIDED if level < tree.depth - 1 else INADMISSIBLE, ADMISSIBLE)
+        bt.nodes.update(zip(zip(t.tolist(), s.tolist()), [kinds[a] for a in adm.tolist()]))
+        # (t, s) -> (t0, s0), (t0, s1), (t1, s0), (t1, s1)
+        t = children[t[~adm]].repeat(2, axis=1).ravel()
+        s = np.tile(children[s[~adm]], 2).ravel()
+    bt.admissible = sorted(k for k, kind in bt.nodes.items() if kind == ADMISSIBLE)
+    bt.inadmissible = sorted(k for k, kind in bt.nodes.items() if kind == INADMISSIBLE)
+    for t, s in bt.admissible:
+        bt.partners.setdefault(t, []).append(s)
     return bt
 
 

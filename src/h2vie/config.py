@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 
 def _parse_float_list(s):
     return [float(tok) for tok in str(s).split(",") if tok.strip()]
@@ -23,7 +21,6 @@ class ExperimentConfig:
     extent: list = field(default_factory=lambda: [16.4])  # wavelengths / counts
     vpw: int = 10  # voxels per wavelength
     eps_r: complex = 2.54
-    lambda0: float = 1.0  # meters; k0 = 2 pi / lambda0
     n_min: int = 32
     eta: float = 1.0
     eps_aca: float = 1e-4
@@ -47,12 +44,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be in (0, 1)")
         if self.solver not in ("iterative", "direct", "both"):
             raise ValueError("solver must be iterative | direct | both")
-        if self.lambda0 <= 0:
-            raise ValueError("lambda0 must be positive")
-
-    @property
-    def k0(self):
-        return 2.0 * np.pi / self.lambda0
 
 
 # annotations are strings under `from __future__ import annotations`

@@ -106,9 +106,10 @@ def generate_geometry(shape_tag, extent, voxels_per_wavelength, k0):
     """Voxelize one of the benchmark shapes.
 
     extent is interpreted per shape: rod -> (length,) in wavelengths with a
-    fixed lambda0/10 square cross-section; slab -> (Lx, Ly) in wavelengths
-    with fixed lambda0/10 thickness; cube_array -> (ax, ay, az) integer
-    counts of 0.3-lambda0 cubes separated by 0.3-lambda0 gaps.
+    fixed 0.1-wavelength square cross-section; slab -> (Lx, Ly) in
+    wavelengths with fixed 0.1-wavelength thickness; cube_array -> (ax, ay,
+    az) integer counts of 0.3-wavelength cubes separated by 0.3-wavelength
+    gaps.
     """
     if shape_tag not in SHAPES:
         raise ValueError(f"unknown shape {shape_tag!r}; expected one of {SHAPES}")

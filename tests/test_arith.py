@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -392,6 +394,18 @@ class TestBicgstab:
         with pytest.raises(ValueError, match="rhs has a non-finite entry at index 1"):
             bicgstab_solve(apply, [1.0, np.nan, 2.0])
         assert not calls
+
+    @pytest.mark.parametrize("apply,b,shadow", [
+        (lambda v: np.zeros_like(v), [1.0, 2.0], None),  # denom == 0
+        (lambda v: np.array([[0, 1], [-1, 0]]) @ v, [1.0, 0.0], [1.0, 1.0]),  # omega == 0
+        (lambda v: v * np.inf, [1 + 1j, 2 + 1j], None),  # denom not finite
+    ], ids=["zero-operator", "zero-omega", "infinite-operator"])
+    def test_early_exit_keeps_finite_iterate(self, apply, b, shadow):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, report = bicgstab_solve(apply, b, tol=1e-6, shadow=shadow)
+        assert report.iterations == 1 and not report.converged
+        assert np.all(np.isfinite(x))
 
     def test_nonconvergence_reported(self, rod164):
         _, _, h2, _ = rod164

@@ -11,7 +11,7 @@ class TestConfig:
     def test_defaults_are_valid(self):
         cfg = ExperimentConfig()
         assert cfg.solver == "both"
-        assert cfg.k0 == pytest.approx(2 * np.pi)
+        assert bench.K0 == 2 * np.pi  # extents are in wavelengths
 
     def test_file_and_overrides(self, tmp_path):
         p = tmp_path / "exp.cfg"
@@ -150,8 +150,8 @@ class TestRunners:
         )
         record, summary = bench.run_solve(cfg)
         assert summary["converged"]
-        geom = kernel.generate_geometry("rod", [3.2], 10, cfg.k0)
-        expected = kernel.plane_wave_rhs(geom, cfg.k0, [0, -1, 0])
+        geom = kernel.generate_geometry("rod", [3.2], 10, bench.K0)
+        expected = kernel.plane_wave_rhs(geom, bench.K0, [0, -1, 0])
         written = bench.read_solution(cfg.solution_out)
         assert np.allclose(written, expected, atol=1e-15)
         assert record.N == geom.n
@@ -234,7 +234,9 @@ class TestCli:
         assert rc == 2
 
     def test_bad_config_exit_code(self, capsys):
-        assert main(["solve", "--set", "bogus=1"]) == 1
+        for key in ("bogus", "lambda0"):  # lengths are in wavelengths: no lambda0
+            assert main(["solve", "--set", f"{key}=1"]) == 1
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     def test_nmin_below_two_exit_code(self, tmp_path, capsys):
         rc = main([

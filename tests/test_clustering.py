@@ -149,6 +149,31 @@ class TestBlockTree:
             assert b not in t.ancestors(a)
             assert a not in t.ancestors(b)
 
+    @pytest.mark.parametrize("geometry,eta", [
+        (("slab", [3.5, 3.5]), 1.0), (("slab", [4.0, 4.0]), 1.0),
+        (("cube_array", [5, 3, 3]), 1.0), ("cloud", 0.5), ("cloud", 2.0),
+    ], ids=["slab3.5", "slab4", "cube533", "cloud-eta0.5", "cloud-eta2"])
+    def test_every_node_agrees_with_the_predicate(self, geometry, eta, rng):
+        # The slabs hold exact ties diam == eta * dist (slab 3.5 x 3.5 at 0.5,
+        # slab 4 x 4 at 2.10237960416286...), which a row reduction that sums
+        # in another order than np.linalg.norm flips. Every node, not only the
+        # admissible leaves, is admissible exactly when is_admissible holds
+        # for its pair, and so when the per-pair norm rule does.
+        def norm_rule(t, s):
+            gap = np.maximum(0.0, np.maximum(s.bbox_lo - t.bbox_hi, t.bbox_lo - s.bbox_hi))
+            diam = max(np.linalg.norm(c.bbox_hi - c.bbox_lo) for c in (t, s))
+            return np.linalg.norm(gap) > 0.0 and diam <= eta * np.linalg.norm(gap)
+
+        if geometry == "cloud":
+            pts, n_min = rng.normal(size=(2000, 3)), 16
+        else:
+            pts, n_min = kernel.generate_geometry(*geometry, 10, 2 * np.pi).centers, 32
+        t = cl.ClusterTree(pts, n_min)
+        bt = cl.build_block_tree(t, eta)
+        for (a, b), kind in bt.nodes.items():
+            ca, cb = t.cluster(a), t.cluster(b)
+            assert (kind == cl.ADMISSIBLE) == cl.is_admissible(ca, cb, eta) == norm_rule(ca, cb)
+
     def test_inadmissible_only_between_leaves(self):
         geom = kernel.generate_geometry("slab", [2, 2], 10, 2 * np.pi)
         t = cl.ClusterTree(geom.centers, 16)
