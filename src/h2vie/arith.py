@@ -540,12 +540,13 @@ def apply_inverse_solve(inv, e, operator=None):
 # ---------------------------------------------------------------------------
 
 
-def bicgstab_solve(apply, rhs, tol=1e-3, max_iter=200, seed=0, shadow=None):
+def bicgstab_solve(apply, rhs, tol=1e-3, max_iter=200, shadow=None):
     """Unpreconditioned BiCGStab on a matvec closure.
 
     Converges when ||r||/||rhs|| <= tol. A rho-breakdown triggers one restart
-    with a randomly perturbed shadow residual before giving up. The shadow
-    residual defaults to the initial residual; pass `shadow` to override.
+    from the current iterate, with the current residual as the new shadow
+    residual, before giving up. The shadow residual defaults to the initial
+    residual; pass `shadow` to override.
     """
     if not (0.0 < tol < 1.0):
         raise ValueError("tol must be in (0, 1)")
@@ -577,11 +578,8 @@ def bicgstab_solve(apply, rhs, tol=1e-3, max_iter=200, seed=0, shadow=None):
         if abs(rho_new) < breakdown * max(1.0, bnrm**2):
             if restarted:
                 break
-            # restart once: re-seed the shadow residual off the Krylov kernel
-            rng = np.random.default_rng(seed)
-            r_hat = r + bnrm * 1e-8 * (
-                rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            )
+            # restart once: the current residual has rho = ||r||^2 > 0
+            r_hat = r.copy()
             rho = alpha = omega = 1.0 + 0j
             p = None
             restarted = True

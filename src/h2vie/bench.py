@@ -151,8 +151,7 @@ def _timed_solve(cfg, h2, rhs):
     """One BiCGStab solve on the H² matvec: (x, report, wall seconds)."""
     t0 = time.perf_counter()
     x, report = arith.bicgstab_solve(
-        lambda v: arith.matvec(h2, v), rhs, tol=cfg.tol,
-        max_iter=cfg.max_iter, seed=cfg.seed,
+        lambda v: arith.matvec(h2, v), rhs, tol=cfg.tol, max_iter=cfg.max_iter,
     )
     return x, report, time.perf_counter() - t0
 

@@ -1,15 +1,22 @@
 """Two-stage construction of the nested low-rank matrix representation.
 
-Stage I compresses, for every cluster, the horizontal concatenation of all
-admissible blocks it owns into a single A @ B.T factor (sampled whole and
-truncated through its Gram matrix on leaves, cross approximation followed
-by an SVD trim above them). Stage II turns those factors into one shared
-family of orthonormal cluster bases by one bottom-up rule: each cluster's
-Gram matrix over its rows of its own and its ancestors' factors (projected
-onto the children's bases above the leaves) is truncated to the prescribed
-accuracy, giving a leaf basis or two transfer matrices. Each admissible
-block then reduces to a small coupling matrix between two bases;
+Stage I compresses, for every cluster t, the horizontal concatenation
+M_t = [S_{t,s1} | S_{t,s2} | ...] of all admissible blocks it owns into one
+plain low-rank factor A_t @ B_t.T whose B_t has orthonormal columns
+(sampled whole and truncated through its Gram matrix on leaves, cross
+approximation followed by an SVD trim above them). Stage II turns those
+factors into one shared family of orthonormal cluster bases by one
+bottom-up rule: each cluster's Gram matrix of its rows of its own and its
+ancestors' grouped blocks (sum_j A_j|c A_j|c^H, as B_j is orthonormal;
+projected onto the children's bases above the leaves) is truncated to the
+prescribed accuracy, giving a leaf basis or two transfer matrices. Each
+admissible block then reduces to a small coupling matrix between two bases;
 inadmissible leaf blocks stay dense.
+
+The shared form V_t S_{t,s} V_s^T needs the columns of S_{t,s}, that is
+the rows of S_{s,t}^T = diag(chi_s) K_{s,t}, to lie in span(V_s). Only a
+uniform contrast chi gives that, so build_h2 refuses a per-voxel eps_r
+that is not uniform.
 
 The resulting H2Matrix is immutable in spirit: arithmetic lives in
 h2vie.arith and mutates explicit copies only. Its payloads are stored per
@@ -28,6 +35,7 @@ from .linalg import (
     AcaRankExceeded,
     CompressionParams,
     aca_factorize,
+    empty_factor,
     recompress_lowrank,
     trunc_eig_hermitian,
     truncate_via_gram,
@@ -40,24 +48,6 @@ class ClusterCompressionError(RuntimeError):
     def __init__(self, message, cluster_id):
         super().__init__(message)
         self.cluster_id = cluster_id
-
-
-class MissingBasisError(KeyError):
-    pass
-
-
-@dataclass
-class ClusterAB:
-    """Grouped low-rank factor of all admissible blocks one cluster owns."""
-
-    a: np.ndarray  # (#t, k)
-    b: np.ndarray  # (sum #s_j, k), rows grouped per partner
-    col_offsets: np.ndarray  # prefix offsets into b's rows, one per partner + 1
-    btb: np.ndarray  # cached B^T conj(B), (k, k)
-
-    @property
-    def rank(self):
-        return self.a.shape[1]
 
 
 @dataclass(frozen=True)
@@ -134,12 +124,8 @@ class NestedBasis:
         """V_c^H @ x without materializing non-leaf bases."""
         c = self.tree.cluster(cid)
         if c.is_leaf:
-            if cid not in self.leaf_v:
-                raise MissingBasisError(f"no basis for leaf cluster {cid}")
             return self.leaf_v[cid].conj().T @ x
         lo, hi = c.children()
-        if cid not in self.transfers:
-            raise MissingBasisError(f"no transfer for cluster {cid}")
         t_lo, t_hi = self.transfers[cid]
         n_lo = self.tree.cluster(lo).size
         return t_lo.conj().T @ self.apply_vh(lo, x[:n_lo]) + t_hi.conj().T @ self.apply_vh(hi, x[n_lo:])
@@ -322,32 +308,26 @@ class H2Matrix:
 
 
 def build_all_cluster_ab(tree, btree, oracle, params):
-    """Stage I: one grouped A @ B.T factor per cluster owning admissible blocks.
+    """Stage I: one LowRankFactor A_t @ B_t.T of M_t per cluster t.
 
     The grouped block of cluster t is M_t = [S_{t,s1} | S_{t,s2} | ...]
-    over its admissible partners. A leaf has at most n_min rows, so M_t is
-    sampled whole in one oracle call and truncated through its small Gram
-    matrix (linalg.truncate_via_gram). A non-leaf M_t is too large to
-    sample: it is cross-approximated from single rows and columns
-    (aca_factorize) and trimmed by recompress_lowrank. Either way a rank
-    over params.max_rank raises ClusterCompressionError.
+    over its admissible partners in btree.partners order, so B_t's rows
+    come partner by partner, #s_j rows each. A leaf has at most n_min rows,
+    so M_t is sampled whole in one oracle call and truncated through its
+    small Gram matrix (linalg.truncate_via_gram). A non-leaf M_t is too
+    large to sample: it is cross-approximated from single rows and columns
+    (aca_factorize) and trimmed by recompress_lowrank. Both return a B_t
+    with orthonormal columns. A cluster without partners gets a rank-0
+    factor. A rank over params.max_rank raises ClusterCompressionError.
     """
     out = {}
     for c in tree.clusters:
         partners = btree.partners.get(c.id, [])
         rows = tree.indices(c.id)
         if not partners:
-            out[c.id] = ClusterAB(
-                np.zeros((c.size, 0), dtype=np.complex128),
-                np.zeros((0, 0), dtype=np.complex128),
-                np.zeros(1, dtype=np.int64),
-                np.zeros((0, 0), dtype=np.complex128),
-            )
+            out[c.id] = empty_factor(c.size, 0)
             continue
-        col_blocks = [tree.indices(s) for s in partners]
-        offsets = np.zeros(len(partners) + 1, dtype=np.int64)
-        np.cumsum([b.size for b in col_blocks], out=offsets[1:])
-        cols = np.concatenate(col_blocks)
+        cols = np.concatenate([tree.indices(s) for s in partners])
 
         if c.is_leaf:
             f = truncate_via_gram(oracle(rows, cols), params.eps_acc)
@@ -368,18 +348,21 @@ def build_all_cluster_ab(tree, btree, oracle, params):
                     f"cluster {c.id}: {exc}", c.id
                 ) from exc
             f = recompress_lowrank(f, params.eps_acc)
-        out[c.id] = ClusterAB(f.a, f.b, offsets, f.b.T @ f.b.conj())
+        out[c.id] = f
     return out
 
 
 def build_bases(tree, abs_map, params):
     """Stage II: one bottom-up sweep with one Gram rule for every cluster.
 
-    G_c sums X_j btb_j X_j^H over j in {c} + ancestors(c) with rank_j > 0,
-    where X_j is A_j's rows of c on a leaf and those rows projected onto
+    G_c = sum_j X_j X_j^H over j in {c} + ancestors(c) with rank_j > 0 is
+    the Gram matrix of c's rows of every grouped block M_j = A_j B_j^T:
+    B_j has orthonormal columns, so c's rows of M_j have the Gram matrix of
+    X_j, which is A_j's rows of c on a leaf and those rows projected onto
     the children's bases (apply_vh) above it. The truncated eigenvectors
     p of G_c are the leaf basis or the stacked transfers [T_lo; T_hi]; a
-    zero or 0 x 0 Gram gives an empty basis of the right shape.
+    zero or 0 x 0 Gram gives an empty basis of the right shape. Every
+    cluster gets a basis.
     """
     basis = NestedBasis(tree)
     for level in reversed(tree.levels):
@@ -393,15 +376,15 @@ def build_bases(tree, abs_map, params):
                 width = basis.rank(lo) + basis.rank(hi)
             g = np.zeros((width, width), dtype=np.complex128)
             for j in [cid, *tree.ancestors(cid)]:
-                ab = abs_map[j]
-                if ab.rank == 0:
+                f = abs_map[j]
+                if f.rank == 0:
                     continue
                 off = c.start - tree.cluster(j).start
-                x = ab.a[off:off + c.size]
+                x = f.a[off:off + c.size]
                 if not c.is_leaf:
                     x = np.vstack([basis.apply_vh(lo, x[:n_lo]),
                                    basis.apply_vh(hi, x[n_lo:])])
-                g += x @ ab.btb @ x.conj().T
+                g += x @ x.conj().T
             g = 0.5 * (g + g.conj().T)  # kill accumulated round-off skew
             p, _ = trunc_eig_hermitian(g, params.eps_acc)
             basis.set_basis(cid, p)
@@ -412,26 +395,36 @@ def build_coupling(btree, abs_map, basis, tree):
     """Coupling matrix of every admissible leaf from the Stage-I factors.
 
     S_{t,s} = (V_t^H A_t) (V_s^H B_t|s)^T, with V_t^H A_t computed once per
-    target and B_t|s the rows of B_t that col_offsets assign to partner s.
-    Each S_{t,s} is written into its view of one row [S_{t,s1} | ...] per
-    target, which H2Matrix keeps as that block row's buffer. Keys come in
-    btree.admissible order, which fixes the summation order of each row.
+    target and B_t|s the #s rows of B_t that belong to partner s; the
+    tree's cluster sizes give their spans. Each S_{t,s} is written into its
+    view of one row [S_{t,s1} | ...] per target, which H2Matrix keeps as
+    that block row's buffer. Keys come in btree.admissible order, which
+    fixes the summation order of each row.
     """
     coupling = {}
     for t, partners in sorted(btree.partners.items()):
-        ab = abs_map[t]
-        proj_a = basis.apply_vh(t, ab.a)
+        f = abs_map[t]
+        proj_a = basis.apply_vh(t, f.a)
         widths = [basis.rank(s) for s in partners]
         row = np.empty((basis.rank(t), sum(widths)), dtype=np.complex128)
-        for s, lo, hi, out in zip(partners, ab.col_offsets, ab.col_offsets[1:],
-                                  _column_views(row, widths)):
-            coupling[(t, s)] = np.matmul(
-                proj_a, basis.apply_vh(s, ab.b[lo:hi]).T, out=out)
+        sizes = [tree.cluster(s).size for s in partners]
+        b_rows = np.split(f.b, np.cumsum(sizes[:-1]))
+        for s, b_s, out in zip(partners, b_rows, _column_views(row, widths)):
+            coupling[(t, s)] = np.matmul(proj_a, basis.apply_vh(s, b_s).T, out=out)
     return coupling
 
 
 def build_h2(geom, kparams, cparams=None, n_min=32, eta=1.0):
-    """Assemble the full nested representation of the system matrix."""
+    """Assemble the full nested representation of the system matrix.
+
+    Raises ValueError naming the first voxel whose eps_r differs from
+    voxel 0's: the shared bases hold for a uniform contrast only.
+    """
+    eps_r = np.ravel(kparams.eps_r)
+    odd = np.flatnonzero(eps_r != eps_r[0])
+    if odd.size:
+        raise ValueError(f"build_h2 needs a uniform eps_r: voxel {odd[0]} has "
+                         f"{eps_r[odd[0]]}, voxel 0 has {eps_r[0]}")
     cparams = cparams or CompressionParams()
     oracle = kn.entry_oracle(geom, kparams)
     tree = cl.ClusterTree(geom.centers, n_min)

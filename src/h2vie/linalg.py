@@ -79,7 +79,8 @@ class CompressionParams:
             raise ValueError("max_rank must be >= 1")
 
 
-def _empty_factor(m, n):
+def empty_factor(m, n):
+    """The rank-0 factor of an (m, n) block."""
     return LowRankFactor(
         np.zeros((m, 0), dtype=np.complex128), np.zeros((n, 0), dtype=np.complex128)
     )
@@ -200,7 +201,7 @@ def recompress_lowrank(f, eps_acc):
     qb, rb = np.linalg.qr(f.b)
     u, s, vh = np.linalg.svd(ra @ rb.T)
     if s[0] == 0.0:
-        return _empty_factor(*f.shape)
+        return empty_factor(*f.shape)
     k = int(np.sum(s > _TRUNC_SAFETY * eps_acc * s[0]))
     a = qa @ (u[:, :k] * s[:k])
     b = qb @ vh[:k].T  # (V^H)^T on the right of Qb reproduces B's side
@@ -242,16 +243,21 @@ def truncate_via_gram(mat, eps_acc):
 
     Keeps the eigenvectors U_k of the (m, m) Gram matrix M M^H with
     lambda_i > (0.75 * eps_acc)^2 * lambda_1, the ratio rule of
-    recompress_lowrank stated for squared singular values, and returns
-    a = U_k, b = M^T conj(U_k), so that a @ b.T = U_k U_k^H M. For a short,
-    wide block the Gram eigendecomposition costs far less than an SVD of M
-    itself. The eigenvalues resolve singular values down to about
-    1e-8 * sigma_1 only: a smaller eps_acc is met only to about that level,
-    and the rank then also counts round-off directions.
+    recompress_lowrank stated for squared singular values. With
+    M^T conj(U_k) = Q R (thin QR) it returns a = U_k R^T and b = Q, so that
+    a @ b.T = U_k U_k^H M and, as in recompress_lowrank, b has orthonormal
+    columns while a carries the weights. The QR keeps b orthonormal to
+    round-off; scaling M^T conj(U_k) by 1 / sigma_i instead is off by about
+    1e-16 / (sigma_k / sigma_1)^2. For a short, wide block the Gram
+    eigendecomposition costs far less than an SVD of M itself. The
+    eigenvalues resolve singular values down to about 1e-8 * sigma_1 only:
+    a smaller eps_acc is met only to about that level, and the rank then
+    also counts round-off directions.
     """
     mat = np.asarray(mat, dtype=np.complex128)
     u, _ = trunc_eig_hermitian(mat @ mat.conj().T, _TRUNC_SAFETY * eps_acc)
-    return LowRankFactor(u, mat.T @ u.conj())
+    q, r = np.linalg.qr(mat.T @ u.conj())
+    return LowRankFactor(u @ r.T, q)
 
 
 def dense_lu_invert(m):

@@ -71,12 +71,19 @@ class TestStageOne:
                 strictly_smaller += 1
         assert strictly_smaller >= 1
 
-    def test_btb_cache_is_consistent(self):
-        geom, kp, oracle, tree, btree, params = _rod_setup(16.4)
-        abs_map = build.build_all_cluster_ab(tree, btree, oracle, params)
-        for ab in abs_map.values():
-            if ab.rank:
-                assert np.allclose(ab.btb, ab.b.T @ ab.b.conj())
+    def test_every_factor_has_orthonormal_b(self, rod164, cube2):
+        # leaves (truncate_via_gram) and non-leaves (ACA + recompress_lowrank)
+        checked = {True: 0, False: 0}
+        for geom, kp, h2, _ in (rod164, cube2):
+            tree = h2.tree
+            abs_map = build.build_all_cluster_ab(
+                tree, h2.btree, kernel.entry_oracle(geom, kp), h2.params)
+            for cid, f in abs_map.items():
+                if f.rank:
+                    err = np.abs(f.b.conj().T @ f.b - np.eye(f.rank)).max()
+                    assert err <= 1e-12
+                    checked[tree.cluster(cid).is_leaf] += 1
+        assert checked[True] and checked[False]
 
 
 class TestStageOneLeaves:
@@ -308,6 +315,25 @@ class TestBuildH2:
         h2 = build.build_h2(geom, kp, CompressionParams(1e-3, 1e-3), n_min=4)
         dense = kernel.assemble_dense(geom, kp)
         assert build.rep_error(h2, dense) <= 1e-2
+
+    def test_non_uniform_eps_r_is_refused(self):
+        geom = kernel.generate_geometry("slab", [1.0, 1.0], 10, K0)
+        eps = np.full(geom.n, 2.54 - 0.1j)
+        eps[37] = 3.0
+        eps[50] = 3.5
+        with pytest.raises(ValueError, match="voxel 37 has"):
+            build.build_h2(geom, kernel.KernelParams(k0=K0, eps_r=eps),
+                           CompressionParams(1e-4, 1e-4), n_min=8)
+
+    def test_uniform_eps_r_array_equals_scalar(self):
+        geom = kernel.generate_geometry("rod", [3.2], 10, K0)
+        params = CompressionParams(1e-4, 1e-4)
+        h2 = build.build_h2(geom, kernel.KernelParams(k0=K0, eps_r=2.54 - 0.1j),
+                            params, n_min=8)
+        h2_arr = build.build_h2(
+            geom, kernel.KernelParams(k0=K0, eps_r=np.full(geom.n, 2.54 - 0.1j)),
+            params, n_min=8)
+        assert np.array_equal(build.materialize(h2_arr), build.materialize(h2))
 
     def test_rep_error_shape_guard(self, rod164):
         _, _, h2, _ = rod164

@@ -159,7 +159,7 @@ class TestTruncateViaGram:
         m = _random_complex(rng, (12, 3)) @ _random_complex(rng, (3, 90))
         f = truncate_via_gram(m, 1e-6)
         assert f.rank == 3
-        assert np.allclose(f.a.conj().T @ f.a, np.eye(3), atol=1e-12)
+        assert np.allclose(f.b.conj().T @ f.b, np.eye(3), atol=1e-12)
         assert np.linalg.norm(f.to_dense() - m) <= 1e-10 * np.linalg.norm(m)
 
     def test_ratio_rule_matches_recompress(self):
