@@ -34,7 +34,7 @@ from .linalg import (
     aca_factorize,
     dense_lu_invert,
     recompress_lowrank,
-    trunc_eig_hermitian,
+    truncated_svd,
 )
 
 __all__ = [
@@ -69,7 +69,7 @@ __all__ = [
     "aca_factorize",
     "dense_lu_invert",
     "recompress_lowrank",
-    "trunc_eig_hermitian",
+    "truncated_svd",
 ]
 
 __version__ = "0.1.0"

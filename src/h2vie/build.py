@@ -3,15 +3,16 @@
 Stage I compresses, for every cluster t, the horizontal concatenation
 M_t = [S_{t,s1} | S_{t,s2} | ...] of all admissible blocks it owns into one
 plain low-rank factor A_t @ B_t.T whose B_t has orthonormal columns
-(sampled whole and truncated through its Gram matrix on leaves, cross
-approximation followed by an SVD trim above them). Stage II turns those
-factors into one shared family of orthonormal cluster bases by one
-bottom-up rule: each cluster's Gram matrix of its rows of its own and its
-ancestors' grouped blocks (sum_j A_j|c A_j|c^H, as B_j is orthonormal;
-projected onto the children's bases above the leaves) is truncated to the
-prescribed accuracy, giving a leaf basis or two transfer matrices. Each
-admissible block then reduces to a small coupling matrix between two bases;
-inadmissible leaf blocks stay dense.
+(sampled whole and truncated by one SVD on leaves, cross approximation
+followed by an SVD trim above them). Stage II turns those factors into one
+shared family of orthonormal cluster bases by one bottom-up rule: the
+stacked rows [A_j|c] of each cluster's own and its ancestors' grouped blocks
+(B_j is orthonormal, so they carry the blocks' row space; projected onto
+the children's bases above the leaves) are truncated by the same SVD rule,
+giving a leaf basis or two transfer matrices. Each admissible block then
+reduces to a small coupling matrix between two bases; inadmissible leaf
+blocks stay dense. Every rank in the build is chosen by
+linalg.truncated_svd.
 
 The shared form V_t S_{t,s} V_s^T needs the columns of S_{t,s}, that is
 the rows of S_{s,t}^T = diag(chi_s) K_{s,t}, to lie in span(V_s). Only a
@@ -32,13 +33,14 @@ import numpy as np
 from . import clustering as cl
 from . import kernel as kn
 from .linalg import (
+    TRUNC_SAFETY,
     AcaRankExceeded,
     CompressionParams,
+    LowRankFactor,
     aca_factorize,
     empty_factor,
     recompress_lowrank,
-    trunc_eig_hermitian,
-    truncate_via_gram,
+    truncated_svd,
 )
 
 
@@ -72,7 +74,8 @@ class NestedBasis:
     def __init__(self, tree):
         self.tree = tree
         self.leaf_v = {}
-        self.transfers = {}  # cid -> (T_child_lo, T_child_hi)
+        self.transfers = {}  # cid -> (T_child_lo, T_child_hi), views of _stacked
+        self._stacked = {}  # cid -> [T_lo; T_hi] as set_basis received it
         self.ranks = {}
         self._mat = {}  # materialization cache
         self._overlap = {}  # V^T V cache (needed by formatted products)
@@ -88,6 +91,7 @@ class NestedBasis:
             self.leaf_v[cid] = p
         else:
             k_lo = self.rank(c.child_lo)
+            self._stacked[cid] = p
             self.transfers[cid] = (p[:k_lo], p[k_lo:])
         self.ranks[cid] = p.shape[1]
         self._schedule = None
@@ -116,7 +120,7 @@ class NestedBasis:
                 lo, hi = c.children()
                 assert spans[lo][1] == spans[hi][0], "siblings must be adjacent"
                 inner.append((*spans[cid], spans[lo][0], spans[hi][1],
-                              np.vstack(self.transfers[cid])))
+                              self._stacked[cid]))
         self._schedule = SweepSchedule(size, spans, leaves, inner)
         return self._schedule
 
@@ -313,11 +317,12 @@ def build_all_cluster_ab(tree, btree, oracle, params):
     The grouped block of cluster t is M_t = [S_{t,s1} | S_{t,s2} | ...]
     over its admissible partners in btree.partners order, so B_t's rows
     come partner by partner, #s_j rows each. A leaf has at most n_min rows,
-    so M_t is sampled whole in one oracle call and truncated through its
-    small Gram matrix (linalg.truncate_via_gram). A non-leaf M_t is too
-    large to sample: it is cross-approximated from single rows and columns
-    (aca_factorize) and trimmed by recompress_lowrank. Both return a B_t
-    with orthonormal columns. A cluster without partners gets a rank-0
+    so M_t is sampled whole in one oracle call and truncated by
+    linalg.truncated_svd at 0.75 * eps_acc (A_t = U_k Sigma_k, B_t =
+    Vh_k^T). A non-leaf M_t is too large to sample: it is
+    cross-approximated from single rows and columns (aca_factorize) and
+    trimmed by recompress_lowrank. Both give a B_t with orthonormal
+    columns. A cluster without partners gets a rank-0
     factor. A rank over params.max_rank raises ClusterCompressionError.
     """
     out = {}
@@ -330,7 +335,8 @@ def build_all_cluster_ab(tree, btree, oracle, params):
         cols = np.concatenate([tree.indices(s) for s in partners])
 
         if c.is_leaf:
-            f = truncate_via_gram(oracle(rows, cols), params.eps_acc)
+            u, s, vh = truncated_svd(oracle(rows, cols), TRUNC_SAFETY * params.eps_acc)
+            f = LowRankFactor(u * s, vh.T)
             if f.rank > params.max_rank:
                 raise ClusterCompressionError(
                     f"cluster {c.id}: leaf rank {f.rank} exceeds max_rank "
@@ -353,16 +359,16 @@ def build_all_cluster_ab(tree, btree, oracle, params):
 
 
 def build_bases(tree, abs_map, params):
-    """Stage II: one bottom-up sweep with one Gram rule for every cluster.
+    """Stage II: one bottom-up sweep with one SVD rule for every cluster.
 
-    G_c = sum_j X_j X_j^H over j in {c} + ancestors(c) with rank_j > 0 is
-    the Gram matrix of c's rows of every grouped block M_j = A_j B_j^T:
-    B_j has orthonormal columns, so c's rows of M_j have the Gram matrix of
-    X_j, which is A_j's rows of c on a leaf and those rows projected onto
-    the children's bases (apply_vh) above it. The truncated eigenvectors
-    p of G_c are the leaf basis or the stacked transfers [T_lo; T_hi]; a
-    zero or 0 x 0 Gram gives an empty basis of the right shape. Every
-    cluster gets a basis.
+    X_c = [X_j | ...] over j in {c} + ancestors(c) stacks c's rows of every
+    grouped block M_j = A_j B_j^T: B_j has orthonormal columns, so c's rows
+    of M_j have the left singular vectors and values of X_j, which is A_j's
+    rows of c on a leaf and those rows projected onto the children's bases
+    (apply_vh) above it. The left singular vectors U_k of X_c that
+    truncated_svd keeps at eps_acc are the leaf basis or the stacked
+    transfers [T_lo; T_hi]; a zero or empty X_c gives an empty basis of the
+    right shape. Every cluster gets a basis.
     """
     basis = NestedBasis(tree)
     for level in reversed(tree.levels):
@@ -374,7 +380,7 @@ def build_bases(tree, abs_map, params):
                 lo, hi = c.children()
                 n_lo = tree.cluster(lo).size
                 width = basis.rank(lo) + basis.rank(hi)
-            g = np.zeros((width, width), dtype=np.complex128)
+            xs = [np.zeros((width, 0), dtype=np.complex128)]
             for j in [cid, *tree.ancestors(cid)]:
                 f = abs_map[j]
                 if f.rank == 0:
@@ -384,9 +390,8 @@ def build_bases(tree, abs_map, params):
                 if not c.is_leaf:
                     x = np.vstack([basis.apply_vh(lo, x[:n_lo]),
                                    basis.apply_vh(hi, x[n_lo:])])
-                g += x @ x.conj().T
-            g = 0.5 * (g + g.conj().T)  # kill accumulated round-off skew
-            p, _ = trunc_eig_hermitian(g, params.eps_acc)
+                xs.append(x)
+            p, _, _ = truncated_svd(np.hstack(xs), params.eps_acc)
             basis.set_basis(cid, p)
     return basis
 

@@ -1,10 +1,10 @@
 """Dense complex linear-algebra primitives.
 
-Adaptive cross approximation of sampled blocks, SVD-based recompression of
-low-rank factors, Gram-based truncation of small dense blocks,
-accuracy-truncated Hermitian eigendecomposition of Gram matrices, and a
-pivoted dense inverse. Everything works on complex128 numpy arrays and is
-pure (no hidden state), so concurrent calls are safe.
+Adaptive cross approximation of sampled blocks, the one accuracy-truncated
+SVD that every rank decision of the build goes through (truncated_svd),
+recompression of low-rank factors through it, and a pivoted dense inverse.
+Everything works on complex128 numpy arrays and is pure (no hidden state),
+so concurrent calls are safe.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ class SingularMatrixError(RuntimeError):
     def __init__(self, message, pivot_index):
         super().__init__(message)
         self.pivot_index = pivot_index
-
-
-class NotHermitianError(ValueError):
-    pass
 
 
 @dataclass
@@ -185,79 +181,44 @@ def aca_factorize(oracle, shape, eps_aca, max_rank=None):
 # headroom inside the truncation threshold: the cross-approximation error
 # estimate is itself only accurate to O(1), and the two stages must compose
 # to eps_aca + eps_acc overall
-_TRUNC_SAFETY = 0.75
+TRUNC_SAFETY = 0.75
+
+
+def truncated_svd(mat, tol):
+    """Accuracy-truncated SVD: mat ~= (U_k * s_k) @ Vh_k.
+
+    Keeps the singular values with s_i > tol * s_1. A ratio rule (rather
+    than a Frobenius-tail sum) makes a second truncation at the same tol a
+    no-op. A wide block (more columns than rows) is first reduced by the
+    thin QR M^T = Q R: the SVD then runs on the small square R^T, and Vh is
+    formed for the k kept rows only. A zero or empty block gives k = 0.
+    Returns (U_k, s_k, Vh_k) with orthonormal columns of U_k and rows of
+    Vh_k.
+    """
+    mat = np.asarray(mat, dtype=np.complex128)
+    wide = mat.shape[1] > mat.shape[0]
+    if wide:
+        q, r = np.linalg.qr(mat.T)
+        mat = r.T
+    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    k = int(np.count_nonzero(s > tol * s.max(initial=0.0)))
+    vh = vh[:k] @ q.T if wide else vh[:k]
+    return np.ascontiguousarray(u[:, :k]), s[:k], vh
 
 
 def recompress_lowrank(f, eps_acc):
     """Trim a low-rank factor to its accuracy rank via QR + core SVD.
 
-    Keeps singular values with sigma_i > 0.75 * eps_acc * sigma_1. A ratio
-    criterion (rather than a Frobenius-tail sum) makes a second application
-    at the same tolerance a no-op. Cost O(k^2 (m + n)) for rank-k input.
+    Keeps singular values with sigma_i > 0.75 * eps_acc * sigma_1
+    (truncated_svd of the k x k core). Returns a = Q_a U_k Sigma_k and an
+    orthonormal b = Q_b conj(V_k). Cost O(k^2 (m + n)) for rank-k input.
     """
     if f.rank == 0:
         return f
     qa, ra = np.linalg.qr(f.a)
     qb, rb = np.linalg.qr(f.b)
-    u, s, vh = np.linalg.svd(ra @ rb.T)
-    if s[0] == 0.0:
-        return empty_factor(*f.shape)
-    k = int(np.sum(s > _TRUNC_SAFETY * eps_acc * s[0]))
-    a = qa @ (u[:, :k] * s[:k])
-    b = qb @ vh[:k].T  # (V^H)^T on the right of Qb reproduces B's side
-    return LowRankFactor(a, b)
-
-
-_HERM_TOL = 1e-12  # relative Frobenius norm of g - g^H that counts as Hermitian
-
-
-def trunc_eig_hermitian(g, eps_acc):
-    """Accuracy-truncated eigendecomposition of a Hermitian PSD Gram matrix.
-
-    Returns (p, k): the k dominant orthonormal eigenvectors, with k the
-    smallest count such that sqrt(lambda_{k+1} / lambda_1) <= eps_acc. The
-    square root reflects that eigenvalues of a Gram matrix are squared
-    singular values of the block it represents.
-    """
-    g = np.asarray(g)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError("expected a square matrix")
-    nrm = np.linalg.norm(g)
-    if nrm > 0 and np.linalg.norm(g - g.conj().T) > _HERM_TOL * nrm:
-        raise NotHermitianError("matrix is not Hermitian to tolerance")
-    if g.shape[0] == 0 or nrm == 0.0:
-        return np.zeros((g.shape[0], 0), dtype=np.complex128), 0
-    lam, vec = np.linalg.eigh(g)
-    lam = lam[::-1]
-    vec = vec[:, ::-1]
-    lam = np.maximum(lam, 0.0)  # PSD up to roundoff
-    if lam[0] <= 0.0:
-        return np.zeros((g.shape[0], 0), dtype=np.complex128), 0
-    keep = np.sqrt(lam / lam[0]) > eps_acc
-    k = int(np.sum(keep))
-    return np.ascontiguousarray(vec[:, :k]), k
-
-
-def truncate_via_gram(mat, eps_acc):
-    """Accuracy-truncated factor of a dense block with few rows.
-
-    Keeps the eigenvectors U_k of the (m, m) Gram matrix M M^H with
-    lambda_i > (0.75 * eps_acc)^2 * lambda_1, the ratio rule of
-    recompress_lowrank stated for squared singular values. With
-    M^T conj(U_k) = Q R (thin QR) it returns a = U_k R^T and b = Q, so that
-    a @ b.T = U_k U_k^H M and, as in recompress_lowrank, b has orthonormal
-    columns while a carries the weights. The QR keeps b orthonormal to
-    round-off; scaling M^T conj(U_k) by 1 / sigma_i instead is off by about
-    1e-16 / (sigma_k / sigma_1)^2. For a short, wide block the Gram
-    eigendecomposition costs far less than an SVD of M itself. The
-    eigenvalues resolve singular values down to about 1e-8 * sigma_1 only:
-    a smaller eps_acc is met only to about that level, and the rank then
-    also counts round-off directions.
-    """
-    mat = np.asarray(mat, dtype=np.complex128)
-    u, _ = trunc_eig_hermitian(mat @ mat.conj().T, _TRUNC_SAFETY * eps_acc)
-    q, r = np.linalg.qr(mat.T @ u.conj())
-    return LowRankFactor(u @ r.T, q)
+    u, s, vh = truncated_svd(ra @ rb.T, TRUNC_SAFETY * eps_acc)
+    return LowRankFactor(qa @ (u * s), qb @ vh.T)
 
 
 def dense_lu_invert(m):

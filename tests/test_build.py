@@ -72,7 +72,7 @@ class TestStageOne:
         assert strictly_smaller >= 1
 
     def test_every_factor_has_orthonormal_b(self, rod164, cube2):
-        # leaves (truncate_via_gram) and non-leaves (ACA + recompress_lowrank)
+        # leaves (truncated_svd) and non-leaves (ACA + recompress_lowrank)
         checked = {True: 0, False: 0}
         for geom, kp, h2, _ in (rod164, cube2):
             tree = h2.tree
@@ -87,7 +87,7 @@ class TestStageOne:
 
 
 class TestStageOneLeaves:
-    """Leaf clusters are sampled whole and truncated through their Gram matrix."""
+    """Leaf clusters are sampled whole and truncated by one SVD."""
 
     def test_one_oracle_call_per_leaf_with_partners(self):
         geom, kp, oracle, tree, btree, params = _rod_setup(32.8)
@@ -294,14 +294,25 @@ class TestBuildH2:
         assert build.rep_error(h2, dense) <= 8e-3
 
     def test_rep_error_lossless_when_truncation_disabled(self):
-        # basis extraction goes through Gram matrices, which squares the
-        # conditioning; the attainable floor with truncation disabled is
-        # therefore ~1e-11, not machine precision
+        # every rank comes from an SVD of the block itself (no Gram matrix
+        # squares the conditioning), so the floor is near machine precision
         geom = kernel.generate_geometry("rod", [6.4], 10, K0)
         kp = kernel.KernelParams(k0=K0)
         h2 = build.build_h2(geom, kp, CompressionParams(1e-13, 1e-13), n_min=8)
         dense = kernel.assemble_dense(geom, kp)
-        assert build.rep_error(h2, dense) <= 1e-10
+        assert build.rep_error(h2, dense) <= 1e-12
+
+    @pytest.mark.parametrize("shape, extent", [("rod", [16.4]), ("slab", [2.0, 2.0])])
+    def test_rep_error_tracks_small_eps(self, shape, extent):
+        # every rank decision must resolve singular values far below
+        # 1e-8 * s_1, which a truncation of squared ones (Gram matrices)
+        # cannot, for the error to keep falling with eps
+        eps = 1e-12
+        geom = kernel.generate_geometry(shape, extent, 10, K0)
+        kp = kernel.KernelParams(k0=K0)
+        h2 = build.build_h2(geom, kp, CompressionParams(eps, eps), n_min=16)
+        dense = kernel.assemble_dense(geom, kp)
+        assert build.rep_error(h2, dense) <= 10 * eps
 
     def test_rep_error_zero_contrast(self):
         geom = kernel.generate_geometry("rod", [3.2], 10, K0)

@@ -8,14 +8,12 @@ from h2vie.linalg import (
     AcaRankExceeded,
     CompressionParams,
     LowRankFactor,
-    NotHermitianError,
     SingularMatrixError,
     aca_factorize,
     dense_oracle,
     dense_lu_invert,
     recompress_lowrank,
-    trunc_eig_hermitian,
-    truncate_via_gram,
+    truncated_svd,
 )
 
 
@@ -155,59 +153,78 @@ class TestRecompress:
 
 
 class TestTruncateViaGram:
+    """truncated_svd on short, wide blocks, the shape of a Stage I leaf row.
+
+    (The class name is kept so that the test ids stay stable.)
+    """
+
     def test_low_rank_block_is_reproduced(self, rng):
         m = _random_complex(rng, (12, 3)) @ _random_complex(rng, (3, 90))
-        f = truncate_via_gram(m, 1e-6)
-        assert f.rank == 3
-        assert np.allclose(f.b.conj().T @ f.b, np.eye(3), atol=1e-12)
-        assert np.linalg.norm(f.to_dense() - m) <= 1e-10 * np.linalg.norm(m)
+        u, s, vh = truncated_svd(m, 1e-6)
+        assert s.size == 3
+        assert np.allclose(u.conj().T @ u, np.eye(3), atol=1e-12)
+        assert np.allclose(vh @ vh.conj().T, np.eye(3), atol=1e-12)
+        assert np.linalg.norm((u * s) @ vh - m) <= 1e-12 * np.linalg.norm(m)
 
     def test_ratio_rule_matches_recompress(self):
         # singular values 1, 1e-2, 1e-4, 1e-6: eps 1e-3 keeps sigma > 7.5e-4
         u, _ = np.linalg.qr(np.eye(4) + 0.1j)
         v, _ = np.linalg.qr(np.arange(40.0).reshape(10, 4) ** 0.5 + 1.0)
         m = (u * np.array([1.0, 1e-2, 1e-4, 1e-6])) @ v.T
-        f = truncate_via_gram(m, 1e-3)
+        _, s, _ = truncated_svd(m, 0.75e-3)
         g = recompress_lowrank(LowRankFactor(m, np.eye(10)), 1e-3)
-        assert f.rank == g.rank == 2
+        assert s.size == g.rank == 2
 
     def test_zero_block_gives_empty_factor(self):
-        f = truncate_via_gram(np.zeros((5, 7), dtype=complex), 1e-4)
-        assert f.a.shape == (5, 0) and f.b.shape == (7, 0)
+        for shape in ((5, 7), (7, 5), (0, 3), (3, 0)):
+            u, s, vh = truncated_svd(np.zeros(shape, dtype=complex), 1e-4)
+            assert u.shape == (shape[0], 0) and s.shape == (0,)
+            assert vh.shape == (0, shape[1])
 
 
 class TestTruncEig:
+    """truncated_svd's ratio rule on square and tall blocks.
+
+    (The class name is kept so that the test ids stay stable.)
+    """
+
     def test_identity_keeps_everything(self):
-        p, k = trunc_eig_hermitian(np.eye(4, dtype=complex), 1e-6)
-        assert k == 4
-        assert np.linalg.norm(p.conj().T @ p - np.eye(4)) <= 1e-12 * 4
+        u, s, vh = truncated_svd(np.eye(4, dtype=complex), 1e-6)
+        assert s.size == 4
+        assert np.linalg.norm(u.conj().T @ u - np.eye(4)) <= 1e-12 * 4
 
     def test_gram_of_rank2_block(self, rng):
         block = _random_complex(rng, (10, 2)) @ _random_complex(rng, (2, 30))
-        g = block @ block.conj().T
-        _, k = trunc_eig_hermitian(g, 1e-6)
-        assert k == 2
+        for m in (block, block.T):
+            u, s, vh = truncated_svd(m, 1e-6)
+            assert u.shape == (m.shape[0], 2) and vh.shape == (2, m.shape[1])
 
     def test_zero_matrix(self):
-        p, k = trunc_eig_hermitian(np.zeros((3, 3), complex), 1e-6)
-        assert k == 0 and p.shape == (3, 0)
-
-    def test_rejects_non_hermitian(self, rng):
-        g = _random_complex(rng, (5, 5))
-        with pytest.raises(NotHermitianError):
-            trunc_eig_hermitian(g, 1e-6)
+        u, s, vh = truncated_svd(np.zeros((3, 3), complex), 1e-6)
+        assert s.size == 0 and u.shape == (3, 0) and vh.shape == (0, 3)
 
     def test_reconstruction_bound(self, rng):
-        # eigenvalues of a Gram matrix are squared singular values, so the
-        # truncated reconstruction error is bounded by eps^2
-        block = _random_complex(rng, (24, 24))
+        # the ratio rule drops only s_i <= eps * s_1, so the spectral norm
+        # of the remainder is at most eps * ||M||_2
+        block = _random_complex(rng, (40, 24))
         block *= np.logspace(0, -8, 24)[None, :]
-        g = block @ block.conj().T
         eps = 1e-3
-        p, k = trunc_eig_hermitian(g, eps)
-        d = p.conj().T @ g @ p
-        err = np.linalg.norm(g - p @ d @ p.conj().T)
-        assert err <= eps**2 * np.linalg.norm(g)
+        u, s, vh = truncated_svd(block, eps)
+        assert 0 < s.size < 24
+        err = np.linalg.norm(block - (u * s) @ vh, 2)
+        assert err <= eps * np.linalg.norm(block, 2)
+
+    def test_resolves_singular_values_below_square_root_of_round_off(self):
+        # singular values 1, 1e-1, ..., 1e-13: tol 5e-13 keeps the first 13
+        # on both the wide (QR-reduced) and the tall path; squaring them in
+        # a Gram matrix would lose everything below about 1e-8
+        u, _ = np.linalg.qr(np.eye(14) + 0.1j)
+        v, _ = np.linalg.qr(np.arange(14.0 * 40).reshape(40, 14) ** 0.5 + 1.0)
+        m = (u * np.logspace(0, -13, 14)) @ v.T
+        for mat in (m, m.T):
+            _, s, _ = truncated_svd(mat, 5e-13)
+            assert s.size == 13
+            assert np.allclose(s, np.logspace(0, -12, 13), rtol=1e-3)
 
 
 class TestDenseLuInvert:
