@@ -13,7 +13,9 @@ The product has one contribution rule: each operand block is taken once
 into a left or right frame, the identity for a dense target block and
 the cluster bases for any other, and the contribution is the product of
 the two halves, added by one GEMM into a leaf target or merged at a
-subdivided one and split down into its leaves.
+subdivided one and split down into its leaves. One half rule serves both
+operands: it puts a block of an operand, or of its transpose, into the
+left frame, and the right half Y of B is the transpose of B^T's left half.
 
 Because the bases are complex with V^H V = I while blocks are represented
 as V_t S V_s^T (plain transpose), every product and projection rule below
@@ -153,19 +155,23 @@ def h2_add_formatted(target, addend, sign=1):
 # lossy like a coupling target's, but keeps such a pair at O(k^3) work. A
 # dense target lies on the leaf level, so its operands are leaves too.
 #
-# Halves. Per operand kind, basis / identity frame:
-#   X = frame-left A[t,s]:   S or V_t S (admissible), V_t^H D or D (dense),
-#                            V_t^H A[t,s] (subdivided)
-#   Y = B[s,r] frame-right:  S or S V_r^T, D conj(V_r) or D,
-#                            B[s,r] conj(V_r)
-# An admissible half keeps its basis on the inner side (V_s^T after an
-# A-half, V_s before a B-half), and the inner cluster s is contracted into
-# the halves: overlap(s) = V_s^T V_s joins X when both keep a basis, V_s
-# joins X when only Y keeps one, V_s^T joins Y when only X keeps one. No
-# projector is applied at s, since near-field chains passing through s
-# carry content outside span(V_s). A subdivided half facing a basis is
-# thus its R/Q family (below). A half depends on its operand block, its
-# frame and the other side's kind only.
+# Halves. Per operand kind there is one rule, for both operands: _half(op,
+# u, v, ...) is M[u,v] in the left frame, V_u^H or the identity, with
+# M = op, or M = op^T when `trans` is set. A right frame is the left frame
+# of the transpose, so the right operand's half is the same call on B^T:
+#   X   = _half(A, t, s, trans=False) = frame-left A[t,s]
+#   Y^T = _half(B, r, s, trans=True)  = frame-left B[s,r]^T
+# and by kind of M[u,v], basis / identity frame:
+#   admissible  S or V_u S, keeping V_v^T on the inner side
+#   dense       V_u^H D or D
+#   subdivided  V_u^H M[u,v] (u is no leaf, so the frame is V_u^H)
+# With `contract` the half also takes the inner cluster v = s: overlap(s) =
+# V_s^T V_s after an admissible block, V_s after any other; a subdivided
+# block so contracted is its family (below). s is contracted exactly once:
+# into X when Y keeps a basis, into Y when only X keeps one. No projector is
+# applied at s, since near-field chains passing through s carry content
+# outside span(V_s). A half depends on its operand block, its frame and
+# whether it is contracted only.
 #
 # Delivery. The walk records the contributions as (t, r) lists per inner
 # cluster s; _add_products then forms the halves of one s at a time, adds
@@ -175,124 +181,87 @@ def h2_add_formatted(target, addend, sign=1):
 # one zgemm. A subdivided target takes it as the payload V_t (X @ Y) V_r^T,
 # merged per node; _flush_pending lands the merged payloads top down,
 # splitting them through the transfer matrices on the way, exactly.
+#
+# Both helpers below take (op, u, v, ..., trans) with the meaning of _half.
+# _block_apply slices the basis top-down; _family lifts bottom-up through
+# the transfers and is memoized, which keeps coupling-level products at
+# O(k^3) work.
 
 
-def _block_apply(m, t, s, x, trans=False):
-    """Sub-block product M[t,s] @ x for an (t, s) node of the block tree.
-
-    With trans the product is M[t,s]^T @ x instead, x having #t rows; the
-    formatted product uses it to form a left half as (M^T F)^T.
-    """
-    kind = m.btree.kind((t, s))
-    tree = m.tree
-    u, v = (s, t) if trans else (t, s)  # clusters of the output and input rows
+def _block_apply(op, u, v, x, trans):
+    """M[u,v]^T @ x, M = op or op^T if trans; x holds #u rows."""
+    key = (v, u) if trans else (u, v)
+    kind = op.btree.kind(key)
     if kind == cl.INADMISSIBLE:
-        d = m.dense[(t, s)]
-        return (d.T if trans else d) @ x
-    if kind == cl.ADMISSIBLE:
-        smat = m.coupling[(t, s)]
-        smat = smat.T if trans else smat
-        return m.basis.materialize(u) @ (smat @ (m.basis.materialize(v).T @ x))
-    out = np.zeros((tree.cluster(u).size, x.shape[1]), dtype=np.complex128)
+        d = op.dense[key]
+        return (d if trans else d.T) @ x
+    basis = op.basis
+    if kind == cl.ADMISSIBLE:  # M[u,v]^T = V_v S^T V_u^T, or V_v S V_u^T if trans
+        smat = op.coupling[key]
+        return basis.materialize(v) @ ((smat if trans else smat.T) @ (basis.materialize(u).T @ x))
+    tree = op.tree
+    out = np.zeros((tree.cluster(v).size, x.shape[1]), dtype=np.complex128)
     u0 = tree.cluster(u).start
     v0 = tree.cluster(v).start
-    for ti in tree.cluster(t).children():
-        for sj in tree.cluster(s).children():
-            cu = tree.cluster(sj if trans else ti)
-            cv = tree.cluster(ti if trans else sj)
-            out[cu.start - u0:cu.stop - u0] += _block_apply(
-                m, ti, sj, x[cv.start - v0:cv.stop - v0], trans
-            )
+    for ui in tree.cluster(u).children():
+        cu = tree.cluster(ui)
+        x_i = x[cu.start - u0:cu.stop - u0]
+        for vj in tree.cluster(v).children():
+            cv = tree.cluster(vj)
+            out[cv.start - v0:cv.stop - v0] += _block_apply(op, ui, vj, x_i, trans)
     return out
 
 
-# Basis-projected views of whole sub-blocks, each a small k x k matrix:
-#   R[u,v] = V_u^H X[u,v] V_v        (left factor of products)
-#   Q[u,v] = V_u^T X[u,v] conj(V_v)  (right factor against a V^T basis)
-# Computed bottom-up through the transfers and memoized per product call,
-# they keep coupling-level products at O(k^3) work.
-
-
-def _family(op, u, v, mode, memo):
-    key = (u, v)
-    got = memo.get(key)
+def _family(op, u, v, trans, memo):
+    """V_u^H M[u,v] V_v for a subdivided M[u,v], M = op or op^T if trans."""
+    got = memo.get((u, v))
     if got is not None:
         return got
     basis = op.basis
-    tree = op.tree
-    kind = op.btree.kind(key)
     ku = basis.rank(u)
     kv = basis.rank(v)
     if ku == 0 or kv == 0:
         out = np.zeros((ku, kv), dtype=np.complex128)
-    elif kind == cl.ADMISSIBLE:
-        # V_u^H V_u = I and V_u^T conj(V_u) = I collapse one side each
-        smat = op.coupling[key]
-        if mode == "R":
-            out = smat @ basis.overlap(v)
-        else:  # Q
-            out = basis.overlap(u) @ smat
-    elif kind == cl.INADMISSIBLE:
-        d = op.dense[key]
-        vu = basis.materialize(u)
-        vv = basis.materialize(v)
-        if mode == "R":
-            out = vu.conj().T @ d @ vv
-        else:
-            out = vu.T @ d @ vv.conj()
     else:
-        # out = sum_i Lu_i (sum_j F_ij Rv_j): each child family lifted into
-        # (u, v) by its transfers, T^H / T on the left and T / conj(T) on the
-        # right for R / Q
-        rights = list(zip(tree.cluster(v).children(), basis.transfers[v]))
+        # out = sum_i T_ui^H (sum_j F_ij T_vj): each child's contracted
+        # half F_ij = V_ui^H M[ui,vj] V_vj lifted into (u, v) by its transfers
+        rights = list(zip(op.tree.cluster(v).children(), basis.transfers[v]))
         out = None
-        for ui, t_u in zip(tree.cluster(u).children(), basis.transfers[u]):
+        for ui, t_u in zip(op.tree.cluster(u).children(), basis.transfers[u]):
             row = None
             for vj, t_v in rights:
-                f = _family(op, ui, vj, mode, memo) @ (t_v if mode == "R" else t_v.conj())
+                f = _half(op, ui, vj, True, True, trans, memo) @ t_v
                 row = f if row is None else row + f
-            row = (t_u.T if mode == "Q" else t_u.conj().T) @ row
+            row = t_u.conj().T @ row
             out = row if out is None else out + row
-    memo[key] = out
+    memo[(u, v)] = out
     return out
 
 
-def _half_a(a, t, s, left, b_basis, memo):
-    """X: A[t,s] in the left frame (V_t^H if left), contracted to meet Y."""
-    basis = a.basis
-    kind = a.btree.kind((t, s))
+def _half(op, u, v, frame, contract, trans, memo):
+    """M[u,v] in the left frame (V_u^H if frame), M = op or op^T if trans.
+
+    With contract the inner cluster v is joined: overlap(v) after an
+    admissible block, V_v after any other. memo holds the families of one
+    operand side.
+    """
+    basis = op.basis
+    key = (v, u) if trans else (u, v)
+    kind = op.btree.kind(key)
     if kind == cl.ADMISSIBLE:
-        x = a.coupling[(t, s)]
-        if not left:
-            x = basis.materialize(t) @ x
-        return x @ basis.overlap(s) if b_basis else x
+        h = op.coupling[key].T if trans else op.coupling[key]
+        if not frame:
+            h = basis.materialize(u) @ h
+        return h @ basis.overlap(v) if contract else h
     if kind == cl.INADMISSIBLE:
-        x = a.dense[(t, s)]
-        if left:
-            x = basis.materialize(t).conj().T @ x
-        return x @ basis.materialize(s) if b_basis else x
-    # subdivided, so t is no leaf and the frame is V_t^H
-    if b_basis:
-        return _family(a, t, s, "R", memo)
-    return _block_apply(a, t, s, basis.materialize(t).conj(), trans=True).T
-
-
-def _half_b(b, s, r, right, a_basis, memo):
-    """Y: B[s,r] in the right frame (conj(V_r) if right), contracted to meet X."""
-    basis = b.basis
-    kind = b.btree.kind((s, r))
-    if kind == cl.ADMISSIBLE:  # overlap(s) joined X if X keeps a basis
-        y = b.coupling[(s, r)]
-        return y if right else y @ basis.materialize(r).T
-    if kind == cl.INADMISSIBLE:
-        y = b.dense[(s, r)]
-        if right:
-            y = y @ basis.materialize(r).conj()
-        return basis.materialize(s).T @ y if a_basis else y
-    # subdivided, so r is no leaf and the frame is conj(V_r)
-    if a_basis:
-        return _family(b, s, r, "Q", memo)
-    return _block_apply(b, s, r, basis.materialize(r).conj())
+        h = op.dense[key].T if trans else op.dense[key]
+        if frame:
+            h = basis.materialize(u).conj().T @ h
+        return h @ basis.materialize(v) if contract else h
+    # subdivided, so u is no leaf and the frame is V_u^H
+    if contract:
+        return _family(op, u, v, trans, memo)
+    return _block_apply(op, u, v, basis.materialize(u).conj(), trans).T
 
 
 def _merge(payloads, key, core):
@@ -304,24 +273,26 @@ def _add_products(c, a, b, work, sign):
     """Add every recorded contribution sign * X @ Y into C.
 
     `work` maps the inner cluster s to {(kind_c, a_basis, b_basis): (ts,
-    rs)}, one (t, r) pair per contribution. The halves of one s are formed
-    on first use and dropped once its pairs are done. A leaf target takes
-    one zgemm that accumulates out^T += sign * Y^T X^T into the Fortran view
-    of the C-contiguous target block, so nothing is allocated; a block of
-    another layout would be copied and the sum lost, hence the check. A
-    subdivided target's payload is merged into the returned pending[level]
-    for _flush_pending.
+    rs)}, one (t, r) pair per contribution. The halves X and Y^T of one s
+    are formed on first use and dropped once its pairs are done. A leaf
+    target takes one zgemm that accumulates out^T += sign * Y^T X^T into
+    the Fortran view of the C-contiguous target block, so nothing is
+    allocated; a block of another layout would be copied and the sum lost,
+    hence the check. A subdivided target's payload is merged into the
+    returned pending[level] for _flush_pending.
     """
     tree = c.tree
     pending = [{} for _ in range(tree.depth)]  # level -> {(t, r): core}
-    a_r, b_q = {}, {}  # R/Q family memos, shared by every s
+    a_fam, b_fam = {}, {}  # family memos of the two sides, shared by every s
     for s, groups in work.items():
-        xs = {}  # (frame, b_basis) -> {t: X}
-        ys = {}  # (frame, a_basis) -> {r: Y}
+        xs = {}  # (frame, contract) -> {t: X}
+        yts = {}  # (frame, contract) -> {r: Y^T}
         for (kind_c, a_basis, b_basis), (ts, rs) in groups.items():
             frame = kind_c != cl.INADMISSIBLE
+            # s is contracted once: into X if Y keeps a basis, else into Y
+            y_contract = a_basis and not b_basis
             x_of = xs.setdefault((frame, b_basis), {})
-            y_of = ys.setdefault((frame, a_basis), {})
+            yt_of = yts.setdefault((frame, y_contract), {})
             leaf = kind_c != cl.SUBDIVIDED
             targets = c.coupling if kind_c == cl.ADMISSIBLE else c.dense
             for t, r in zip(ts, rs):
@@ -333,14 +304,17 @@ def _add_products(c, a, b, work, sign):
                         raise ValueError("product targets must be C-contiguous complex blocks")
                 x = x_of.get(t)
                 if x is None:
-                    x = x_of[t] = _half_a(a, t, s, frame, b_basis, a_r)
-                y = y_of.get(r)
-                if y is None:
-                    y = y_of[r] = _half_b(b, s, r, frame, a_basis, b_q)
+                    x = x_of[t] = _half(a, t, s, frame, b_basis, False, a_fam)
+                yt = yt_of.get(r)
+                if yt is None:
+                    yt = yt_of[r] = _half(b, r, s, frame, y_contract, True, b_fam)
                 if leaf:
-                    zgemm(sign, y.T, x.T, beta=1.0, c=out.T, overwrite_c=True)
+                    # Y^T goes in by its own layout, so f2py copies no contiguous Y^T
+                    fort = yt.flags.f_contiguous
+                    zgemm(sign, yt if fort else yt.T, x.T, beta=1.0, c=out.T,
+                          overwrite_c=True, trans_a=0 if fort else 1)
                 else:
-                    core = sign * (x @ y)
+                    core = sign * (x @ yt.T)
                     if core.size:
                         _merge(pending[tree.cluster(t).level], (t, r), core)
     return pending

@@ -164,14 +164,16 @@ def _timed_invert(h2):
 
 
 def inverse_residual_estimate(h2, inv, rng, samples=20):
-    """max over random unit vectors of || v - S (S^{-1} v) ||_2."""
-    worst = 0.0
-    for _ in range(samples):
+    """max over random unit vectors of || v - S (S^{-1} v) ||_2.
+
+    The probes are drawn one after another and applied as one block.
+    """
+    probes = np.empty((h2.n, samples), dtype=np.complex128)
+    for j in range(samples):
         v = rng.standard_normal(h2.n) + 1j * rng.standard_normal(h2.n)
-        v /= np.linalg.norm(v)
-        w = arith.matvec(h2, arith.matvec(inv, v))
-        worst = max(worst, float(np.linalg.norm(v - w)))
-    return worst
+        probes[:, j] = v / np.linalg.norm(v)
+    w = arith.matmat_apply(h2, arith.matmat_apply(inv, probes))
+    return float(np.linalg.norm(probes - w, axis=0).max(initial=0.0))
 
 
 def two_body_pair(dim, esize, vpw):

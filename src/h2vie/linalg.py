@@ -28,7 +28,11 @@ class AcaRankExceeded(RuntimeError):
 
 
 class SingularMatrixError(RuntimeError):
-    """Raised on a pivot too small to invert; .pivot_index names the pivot."""
+    """Raised on a matrix that cannot be inverted.
+
+    .pivot_index names a pivot too small to invert, or is None when the
+    matrix holds a non-finite entry.
+    """
 
     def __init__(self, message, pivot_index):
         super().__init__(message)
@@ -102,6 +106,8 @@ def aca_factorize(oracle, shape, eps_aca, max_rank=None):
     m, n = shape
     if m <= 0 or n <= 0:
         raise ValueError("index sets must be non-empty")
+    if max_rank is not None and max_rank < 1:
+        raise ValueError("max_rank must be >= 1")
     full = min(m, n)
     if max_rank is None:
         max_rank = min(full, 200)
@@ -224,14 +230,19 @@ def recompress_lowrank(f, eps_acc):
 def dense_lu_invert(m):
     """Invert a dense matrix by LU with partial pivoting.
 
-    Raises SingularMatrixError naming the offending pivot when any pivot
-    falls below 1e-14 * ||m||_F.
+    Raises SingularMatrixError naming the first non-finite entry, if any,
+    before factoring, and naming the offending pivot when any pivot falls
+    below 1e-14 * ||m||_F.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
     if m.shape[0] == 0:
         return m.copy()
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        i, j = (int(k) for k in bad[0])
+        raise SingularMatrixError(f"entry ({i}, {j}) is {m[i, j]}, not finite", None)
     nrm = np.linalg.norm(m)
     if nrm == 0.0:
         raise SingularMatrixError("matrix is identically zero", 0)

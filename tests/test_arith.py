@@ -6,6 +6,7 @@ import pytest
 from h2vie import build, kernel
 from h2vie.arith import (
     SingularLeafError,
+    _mul_into,
     StructureMismatchError,
     apply_inverse_solve,
     bicgstab_solve,
@@ -276,6 +277,22 @@ class TestFormattedMul:
                 prod = build.materialize(h2_mul_formatted(x, y))
                 assert np.linalg.norm(prod - ref) / np.linalg.norm(ref) <= bound
 
+    def test_packed_target_rejected(self, rod164):
+        # a leaf target takes its sum by zgemm into the block's Fortran
+        # view; the block views of a packed (constructor-built) matrix are
+        # no contiguous arrays, so zgemm would add into a copy and lose it
+        _, _, h2, _ = rod164
+        packed = build.H2Matrix(
+            h2.tree, h2.btree, h2.basis,
+            {k: np.zeros_like(v) for k, v in h2.coupling.items()},
+            {k: np.zeros_like(v) for k, v in h2.dense.items()},
+            h2.params,
+        )
+        assert not any(d.flags.c_contiguous for d in packed.dense.values())
+        root = h2.tree.root
+        with pytest.raises(ValueError, match="C-contiguous complex blocks"):
+            _mul_into(packed, h2, h2, root, root, root, 1)
+
     def test_product_on_cube_array(self, cube2, cube3):
         # 3-D products push more energy outside the fixed bases than 1-D
         # ones; the error stays at the percent level that the direct
@@ -334,6 +351,21 @@ class TestInverse:
         broken.dense[(cid, cid)][:] = 0.0
         with pytest.raises(SingularLeafError) as exc_info:
             h2_invert(broken)
+        assert exc_info.value.cluster_id == cid
+
+    def test_non_finite_leaf_reports_cluster(self, rod164):
+        # one NaN in the first diagonal leaf must not run through the LU
+        # and the products into a non-finite inverse
+        _, _, h2, _ = rod164
+        broken = h2.copy()
+        cid = broken.tree.root
+        while not broken.tree.cluster(cid).is_leaf:
+            cid = broken.tree.cluster(cid).child_lo
+        broken.dense[(cid, cid)][2, 3] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SingularLeafError, match="not finite") as exc_info:
+                h2_invert(broken)
         assert exc_info.value.cluster_id == cid
 
 

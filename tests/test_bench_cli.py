@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from h2vie import bench, kernel
+from h2vie import arith, bench, build, kernel
 from h2vie.bench import BenchRecord, emit_csv, parse_csv
 from h2vie.cli import main
 from h2vie.config import ExperimentConfig, load_config
+from h2vie.linalg import CompressionParams
 
 
 class TestConfig:
@@ -107,6 +108,23 @@ class TestTwoBodyStudy:
         m = a @ b.T
         assert bench.svd_eps_rank(m, 1e-8) == 6
         assert bench.svd_eps_rank(np.zeros((4, 4)), 1e-5) == 0
+
+
+class TestInverseResidualEstimate:
+    def test_block_apply_matches_column_probes(self):
+        geom = kernel.generate_geometry("rod", [16.4], 10, 2.0 * np.pi)
+        h2 = build.build_h2(geom, kernel.KernelParams(k0=2.0 * np.pi),
+                            CompressionParams(1e-4, 1e-4), n_min=16)
+        inv = arith.h2_invert(h2)
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for _ in range(20):
+            v = rng.standard_normal(h2.n) + 1j * rng.standard_normal(h2.n)
+            v /= np.linalg.norm(v)
+            w = arith.matvec(h2, arith.matvec(inv, v))
+            worst = max(worst, np.linalg.norm(v - w))
+        est = bench.inverse_residual_estimate(h2, inv, np.random.default_rng(7))
+        assert est == pytest.approx(worst, rel=1e-12)
 
 
 class TestRunners:

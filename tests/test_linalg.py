@@ -78,6 +78,12 @@ class TestAca:
         assert exc_info.value.partial.a.flags.owndata
         assert exc_info.value.partial.b.flags.owndata
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_non_positive_rank_cap_rejected(self, rng, cap):
+        m = _random_complex(rng, (8, 6))
+        with pytest.raises(ValueError, match="max_rank must be >= 1"):
+            aca_factorize(dense_oracle(m), m.shape, 1e-12, max_rank=cap)
+
     def test_full_rank_small_block_terminates(self, rng):
         m = _random_complex(rng, (6, 6))
         f = aca_factorize(dense_oracle(m), m.shape, 1e-12)
@@ -244,6 +250,16 @@ class TestDenseLuInvert:
         with pytest.raises(SingularMatrixError) as exc_info:
             dense_lu_invert(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
         assert exc_info.value.pivot_index == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_named(self, bad):
+        # rejected before factoring: a NaN would pass the pivot floor, and an
+        # inf would make the floor itself infinite and blame a healthy pivot
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(SingularMatrixError, match=r"entry \(1, 2\)") as exc_info:
+            dense_lu_invert(m)
+        assert exc_info.value.pivot_index is None
 
 
 class TestParams:
