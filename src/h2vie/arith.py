@@ -9,6 +9,12 @@ Formatted addition and multiplication keep the block structure and cluster
 bases of the operands fixed, projecting whatever falls outside them; the
 recursive inverse is built from those two operations and dense leaf
 inverses, and returns a matrix with the same structure as its input.
+If the input is complex symmetric bit for bit (every block equals its
+mirror's transpose, as build_h2's operators are), the inverse runs a
+symmetric recursion: the upper Schur blocks X12 = X21^T and S12 = S21^T
+are mirrored instead of multiplied, and each Schur complement is
+symmetrized before it is inverted. Any other input takes the general
+recursion with all six products per level.
 The product has one contribution rule: each operand block is taken once
 into a left or right frame, the identity for a dense target block and
 the cluster bases for any other, and the contribution is the product of
@@ -32,7 +38,7 @@ import numpy as np
 from scipy.linalg.blas import zgemm
 
 from . import clustering as cl
-from .build import H2Matrix
+from .build import H2Matrix, average_mirrors
 from .linalg import SingularMatrixError, dense_lu_invert
 
 
@@ -227,12 +233,12 @@ def _family(op, u, v, trans, memo):
         # half F_ij = V_ui^H M[ui,vj] V_vj lifted into (u, v) by its transfers
         rights = list(zip(op.tree.cluster(v).children(), basis.transfers[v]))
         out = None
-        for ui, t_u in zip(op.tree.cluster(u).children(), basis.transfers[u]):
+        for ui, t_u in zip(op.tree.cluster(u).children(), basis.transfers_conj(u)):
             row = None
             for vj, t_v in rights:
                 f = _half(op, ui, vj, True, True, trans, memo) @ t_v
                 row = f if row is None else row + f
-            row = t_u.conj().T @ row
+            row = t_u.T @ row
             out = row if out is None else out + row
     memo[(u, v)] = out
     return out
@@ -256,12 +262,12 @@ def _half(op, u, v, frame, contract, trans, memo):
     if kind == cl.INADMISSIBLE:
         h = op.dense[key].T if trans else op.dense[key]
         if frame:
-            h = basis.materialize(u).conj().T @ h
+            h = basis.materialize_conj(u).T @ h
         return h @ basis.materialize(v) if contract else h
     # subdivided, so u is no leaf and the frame is V_u^H
     if contract:
         return _family(op, u, v, trans, memo)
-    return _block_apply(op, u, v, basis.materialize(u).conj(), trans).T
+    return _block_apply(op, u, v, basis.materialize_conj(u), trans).T
 
 
 def _merge(payloads, key, core):
@@ -309,10 +315,13 @@ def _add_products(c, a, b, work, sign):
                 if yt is None:
                     yt = yt_of[r] = _half(b, r, s, frame, y_contract, True, b_fam)
                 if leaf:
-                    # Y^T goes in by its own layout, so f2py copies no contiguous Y^T
-                    fort = yt.flags.f_contiguous
-                    zgemm(sign, yt if fort else yt.T, x.T, beta=1.0, c=out.T,
-                          overwrite_c=True, trans_a=0 if fort else 1)
+                    # Y^T and X go in by their own layouts, so f2py copies
+                    # neither when it is contiguous
+                    a_fort = yt.flags.f_contiguous
+                    b_fort = x.flags.f_contiguous
+                    zgemm(sign, yt if a_fort else yt.T, x if b_fort else x.T, beta=1.0,
+                          c=out.T, overwrite_c=True, trans_a=0 if a_fort else 1,
+                          trans_b=1 if b_fort else 0)
                 else:
                     core = sign * (x @ yt.T)
                     if core.size:
@@ -446,8 +455,36 @@ def _zero_subtree(m, t, s):
             m.dense[key][:] = 0
 
 
-def _invert_rec(m, t):
-    """In-place inverse of the diagonal block (t, t) per the 2x2 recursion."""
+def _mirror_subtree(m, t, s):
+    """Every leaf of the (s, t) subtree of m <- the transpose of its mirror under (t, s)."""
+    for (a, b), kind in _subtree_leaves(m, t, s):
+        blocks = m.coupling if kind == cl.ADMISSIBLE else m.dense
+        blocks[(b, a)][...] = blocks[(a, b)].T
+
+
+def _symmetrize_subtree(m, t):
+    """Average every leaf of the diagonal block (t, t) with its mirror."""
+    for (a, b), kind in _subtree_leaves(m, t, t):
+        if a <= b:
+            blocks = m.coupling if kind == cl.ADMISSIBLE else m.dense
+            average_mirrors(blocks[(a, b)], blocks[(b, a)])
+
+
+def _is_symmetric(m):
+    """Whether every coupling and dense block equals its mirror's transpose exactly."""
+    return all(np.array_equal(p, blocks[(s, t)].T)
+               for blocks in (m.coupling, m.dense)
+               for (t, s), p in blocks.items() if t <= s)
+
+
+def _invert_rec(m, t, symmetric):
+    """In-place inverse of the diagonal block (t, t) per the 2x2 recursion.
+
+    With `symmetric` the block is complex symmetric bit for bit, and so is
+    every diagonal block the recursion inverts: X12 = S11^{-1} S12 = X21^T
+    is not formed, the Schur complement is symmetrized before it is
+    inverted, and S12 = -X12 F^{-1} = S21^T is mirrored, not multiplied.
+    """
     kind = m.btree.kind((t, t))
     if kind == cl.INADMISSIBLE:
         try:
@@ -458,27 +495,37 @@ def _invert_rec(m, t):
             ) from exc
         return
     lo, hi = m.tree.cluster(t).children()
-    _invert_rec(m, lo)  # S11 <- S11^{-1}
+    _invert_rec(m, lo, symmetric)  # S11 <- S11^{-1}
     x21 = _fresh_block(m, hi, lo)
     _mul_into(x21, m, m, hi, lo, lo, 1)  # X21 = S21 S11^{-1}
-    x12 = _fresh_block(m, lo, hi)
-    _mul_into(x12, m, m, lo, lo, hi, 1)  # X12 = S11^{-1} S12
+    if not symmetric:
+        x12 = _fresh_block(m, lo, hi)
+        _mul_into(x12, m, m, lo, lo, hi, 1)  # X12 = S11^{-1} S12
     _mul_into(m, x21, m, hi, lo, hi, -1)  # S22 <- S22 - X21 S12
-    _invert_rec(m, hi)  # S22 <- F^{-1}
+    if symmetric:
+        _symmetrize_subtree(m, hi)  # F = F^T bit for bit
+    _invert_rec(m, hi, symmetric)  # S22 <- F^{-1}
     _zero_subtree(m, hi, lo)
     _mul_into(m, m, x21, hi, hi, lo, -1)  # S21 <- -F^{-1} X21
-    _zero_subtree(m, lo, hi)
-    _mul_into(m, x12, m, lo, hi, hi, -1)  # S12 <- -X12 F^{-1}
+    if symmetric:
+        _mirror_subtree(m, hi, lo)  # S12 <- S21^T
+    else:
+        _zero_subtree(m, lo, hi)
+        _mul_into(m, x12, m, lo, hi, hi, -1)  # S12 <- -X12 F^{-1}
     _mul_into(m, m, x21, lo, hi, lo, -1)  # S11 <- S11^{-1} - S12 X21
 
 
 def h2_invert(m):
     """Inverse with the same structure and bases as m (formatted recursion).
 
-    The input is left untouched; a private copy is mutated in place.
+    The input is left untouched; a private copy is mutated in place. If
+    every block of m equals the transpose of its mirror exactly (build_h2's
+    operators do, see h2vie.build), the recursion runs its symmetric form,
+    which forms four of the six products per level; any other input, such
+    as a formatted product, takes the general form.
     """
     inv = m.copy()
-    _invert_rec(inv, m.tree.root)
+    _invert_rec(inv, m.tree.root, _is_symmetric(m))
     return inv
 
 

@@ -17,7 +17,11 @@ linalg.truncated_svd.
 The shared form V_t S_{t,s} V_s^T needs the columns of S_{t,s}, that is
 the rows of S_{s,t}^T = diag(chi_s) K_{s,t}, to lie in span(V_s). Only a
 uniform contrast chi gives that, so build_h2 refuses a per-voxel eps_r
-that is not uniform.
+that is not uniform. With a uniform contrast the matrix is complex
+symmetric, S = S^T. The near field is sampled entry by entry from a
+symmetric kernel and is symmetric bit for bit; build_coupling replaces
+each mirrored coupling pair by its average, so S_{s,t} = S_{t,s}^T holds
+bit for bit too and the whole representation is exactly symmetric.
 
 The resulting H2Matrix is immutable in spirit: arithmetic lives in
 h2vie.arith and mutates explicit copies only. Its payloads are stored per
@@ -78,6 +82,8 @@ class NestedBasis:
         self._stacked = {}  # cid -> [T_lo; T_hi] as set_basis received it
         self.ranks = {}
         self._mat = {}  # materialization cache
+        self._mat_conj = {}  # conj(V) cache
+        self._transfers_conj = {}  # cid -> (conj(T_lo), conj(T_hi)) cache
         self._overlap = {}  # V^T V cache (needed by formatted products)
         self._schedule = None  # apply-sweep cache
 
@@ -128,11 +134,11 @@ class NestedBasis:
         """V_c^H @ x without materializing non-leaf bases."""
         c = self.tree.cluster(cid)
         if c.is_leaf:
-            return self.leaf_v[cid].conj().T @ x
+            return self.materialize_conj(cid).T @ x
         lo, hi = c.children()
-        t_lo, t_hi = self.transfers[cid]
+        t_lo, t_hi = self.transfers_conj(cid)
         n_lo = self.tree.cluster(lo).size
-        return t_lo.conj().T @ self.apply_vh(lo, x[:n_lo]) + t_hi.conj().T @ self.apply_vh(hi, x[n_lo:])
+        return t_lo.T @ self.apply_vh(lo, x[:n_lo]) + t_hi.T @ self.apply_vh(hi, x[n_lo:])
 
     def materialize(self, cid):
         """Explicit (#c, k_c) basis matrix, cached."""
@@ -150,6 +156,20 @@ class NestedBasis:
             )
         self._mat[cid] = v
         return v
+
+    def materialize_conj(self, cid):
+        """conj(V_c), cached."""
+        got = self._mat_conj.get(cid)
+        if got is None:
+            got = self._mat_conj[cid] = self.materialize(cid).conj()
+        return got
+
+    def transfers_conj(self, cid):
+        """(conj(T_lo), conj(T_hi)) of a non-leaf, cached."""
+        got = self._transfers_conj.get(cid)
+        if got is None:
+            got = self._transfers_conj[cid] = tuple(t.conj() for t in self.transfers[cid])
+        return got
 
     def overlap(self, cid):
         """V_c^T V_c (not conjugated), cached; identity only for real bases."""
@@ -405,6 +425,13 @@ def build_coupling(btree, abs_map, basis, tree):
     view of one row [S_{t,s1} | ...] per target, which H2Matrix keeps as
     that block row's buffer. Keys come in btree.admissible order, which
     fixes the summation order of each row.
+
+    The uniform-contrast VIE matrix is complex symmetric (reciprocity), but
+    S_{t,s} and S_{s,t} come from two different cross approximations and
+    differ at the ACA level. Each mirrored pair is therefore replaced by
+    its average in place, S_{t,s} <- (S_{t,s} + S_{s,t}^T) / 2 and S_{s,t}
+    <- S_{t,s}^T, so the couplings are symmetric bit for bit (which
+    arith.h2_invert exploits) and no pair's Frobenius error rises.
     """
     coupling = {}
     for t, partners in sorted(btree.partners.items()):
@@ -416,7 +443,20 @@ def build_coupling(btree, abs_map, basis, tree):
         b_rows = np.split(f.b, np.cumsum(sizes[:-1]))
         for s, b_s, out in zip(partners, b_rows, _column_views(row, widths)):
             coupling[(t, s)] = np.matmul(proj_a, basis.apply_vh(s, b_s).T, out=out)
+    for (t, s), s_ts in coupling.items():
+        if t < s:
+            average_mirrors(s_ts, coupling[(s, t)])
     return coupling
+
+
+def average_mirrors(p, q):
+    """p <- (p + q^T) / 2 and q <- p^T in place, so q = p^T bit for bit.
+
+    p and q are a block and its mirror; p may be q (a diagonal block).
+    """
+    avg = 0.5 * (p + q.T)
+    p[...] = avg
+    q[...] = avg.T
 
 
 def build_h2(geom, kparams, cparams=None, n_min=32, eta=1.0):

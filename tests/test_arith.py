@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from h2vie import build, kernel
+from h2vie import build, clustering as cl, kernel
 from h2vie.arith import (
     SingularLeafError,
+    _subtree_leaves,
     _mul_into,
     StructureMismatchError,
     apply_inverse_solve,
@@ -367,6 +368,49 @@ class TestInverse:
             with pytest.raises(SingularLeafError, match="not finite") as exc_info:
                 h2_invert(broken)
         assert exc_info.value.cluster_id == cid
+
+
+def _mirrored_pairs(m, t, s):
+    """(block, mirror) for every leaf under (t, s) of m, mirror under (s, t)."""
+    out = []
+    for (a, b), kind in _subtree_leaves(m, t, s):
+        blocks = m.coupling if kind == cl.ADMISSIBLE else m.dense
+        out.append((blocks[(a, b)], blocks[(b, a)]))
+    return out
+
+
+class TestSymmetry:
+    def test_build_is_symmetric_bit_for_bit(self, rod164, slab35, cube3):
+        # the fast path of h2_invert runs only on exactly symmetric input
+        for _, _, h2, _ in (rod164, slab35, cube3):
+            root = h2.tree.root
+            pairs = _mirrored_pairs(h2, root, root)
+            assert len(pairs) == len(h2.coupling) + len(h2.dense)
+            assert any(p.size for p in h2.coupling.values())
+            for p, q in pairs:
+                assert np.array_equal(p, q.T)
+
+    def test_symmetric_inverse_mirrors_root_blocks(self, rod164, cube3):
+        for _, _, h2, _ in (rod164, cube3):
+            inv = h2_invert(h2)
+            lo, hi = inv.tree.cluster(inv.tree.root).children()
+            for p, q in _mirrored_pairs(inv, lo, hi):
+                assert np.array_equal(p, q.T)
+
+    def test_non_symmetric_input_takes_general_path(self, rod164):
+        _, _, h2, _ = rod164
+        m = h2.copy()
+        lo, hi = m.tree.cluster(m.tree.root).children()
+        key = max((key for key, kind in _subtree_leaves(m, lo, hi)
+                   if kind == cl.ADMISSIBLE), key=lambda k: m.coupling[k].size)
+        m.coupling[key][0, 0] += 1e-2 * np.abs(m.coupling[key]).max()
+        inv = h2_invert(m)
+        # the general recursion forms S12 itself instead of mirroring S21
+        assert not all(np.array_equal(p, q.T) for p, q in _mirrored_pairs(inv, lo, hi))
+        resid = np.linalg.norm(
+            np.eye(m.n) - build.materialize(m) @ build.materialize(inv)
+        ) / np.sqrt(m.n)
+        assert resid <= 5e-2
 
 
 class TestBicgstab:
