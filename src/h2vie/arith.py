@@ -30,7 +30,6 @@ carries an explicit conjugation; nothing relies on V^T V being identity.
 
 from __future__ import annotations
 
-import time
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -59,7 +58,6 @@ class SolveReport:
     iterations: int
     residual_history: list
     converged: bool
-    wall_time: float
 
 
 # ---------------------------------------------------------------------------
@@ -562,51 +560,49 @@ def apply_inverse_solve(inv, e, operator=None):
 
 
 def bicgstab_solve(apply, rhs, tol=1e-3, max_iter=200, shadow=None):
-    """Unpreconditioned BiCGStab on a matvec closure.
+    """Unpreconditioned BiCGStab (van der Vorst 1992) on a matvec closure.
 
-    Converges when ||r||/||rhs|| <= tol. A rho-breakdown triggers one restart
-    from the current iterate, with the current residual as the new shadow
-    residual, before giving up. The shadow residual defaults to the initial
-    residual; pass `shadow` to override.
+    Converges when ||r||/||rhs|| <= tol, at the half step (s) or the full
+    step (r); `converged` says whether the last residual-history entry is
+    within tol. The shadow residual defaults to the initial residual; pass
+    `shadow` to override.
+
+    Breakdown: rho = <r_hat, r> below eps^2 ||rhs||^2, a floor relative to
+    the rhs so that the iterates do not depend on its scale. The first such
+    breakdown restarts from the current iterate with the current residual
+    as the new shadow, so rho = ||r||^2 and the next search direction is r;
+    a second one ends the solve. A zero or non-finite <r_hat, v> or <t, t>,
+    a zero omega or a non-finite residual ends it too.
     """
     if not (0.0 < tol < 1.0):
         raise ValueError("tol must be in (0, 1)")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    t_start = time.perf_counter()
     b = np.asarray(rhs, dtype=np.complex128)
     _check_finite("rhs", b)
-    n = b.size
     bnrm = np.linalg.norm(b)
     if bnrm == 0.0:
-        return np.zeros(n, dtype=np.complex128), SolveReport(
-            0, [], True, time.perf_counter() - t_start
-        )
-    x = np.zeros(n, dtype=np.complex128)
+        return np.zeros(b.size, dtype=np.complex128), SolveReport(0, [], True)
+    floor = np.finfo(np.float64).eps**2 * bnrm**2
+    x = np.zeros(b.size, dtype=np.complex128)
     r = b.copy()
     r_hat = r.copy() if shadow is None else np.asarray(shadow, dtype=np.complex128).copy()
-    rho = alpha = omega = 1.0 + 0j
     p = None  # no search direction yet: the first one is r
     history = []
-    converged = False
     restarted = False
-    it = 0
-    breakdown = np.finfo(np.float64).eps**2
 
-    while it < max_iter:
-        it += 1
+    for it in range(1, max_iter + 1):
         rho_new = np.vdot(r_hat, r)
-        if abs(rho_new) < breakdown * max(1.0, bnrm**2):
+        if abs(rho_new) < floor:
             if restarted:
                 break
-            # restart once: the current residual has rho = ||r||^2 > 0
+            # restart: with r_hat = r, rho = ||r||^2, above the floor on the
+            # first step (r = b) and, for tol >= eps, after any step that
+            # went on (rel > tol); below eps the guards protect the divisions
             r_hat = r.copy()
-            rho = alpha = omega = 1.0 + 0j
             p = None
             restarted = True
             rho_new = np.vdot(r_hat, r)
-            if abs(rho_new) < breakdown * max(1.0, bnrm**2):
-                break
         if p is None:
             p = r.copy()
         else:
@@ -622,7 +618,6 @@ def bicgstab_solve(apply, rhs, tol=1e-3, max_iter=200, shadow=None):
         if s_nrm / bnrm <= tol:
             x += alpha * p
             history.append(float(s_nrm / bnrm))
-            converged = True
             break
         t = apply(s)
         tt = np.vdot(t, t)
@@ -636,10 +631,7 @@ def bicgstab_solve(apply, rhs, tol=1e-3, max_iter=200, shadow=None):
         rho = rho_new
         rel = float(np.linalg.norm(r) / bnrm)
         history.append(rel)
-        if rel <= tol:
-            converged = True
-            break
-        if not np.isfinite(rel):
+        if rel <= tol or not np.isfinite(rel):
             break
 
-    return x, SolveReport(it, history, converged, time.perf_counter() - t_start)
+    return x, SolveReport(it, history, bool(history) and history[-1] <= tol)

@@ -133,10 +133,11 @@ def _admissible(lo_t, hi_t, lo_s, hi_s, eta):
     """Strong admissibility on rows of (m, 3) bounding boxes: max(diam) <= eta * dist.
 
     Touching or overlapping boxes (dist == 0) are never admissible, which
-    also covers the t == s case. Returns an (m,) bool array.
+    also covers the t == s case. Returns an (m,) bool array; raises
+    ValueError unless 0 < eta < inf (a NaN eta would admit nothing).
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0.0 < eta < np.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
 
     # np.vecdot sums a row in the order np.linalg.norm sums a 3-vector;
     # another order flips exact ties diam == eta * dist

@@ -119,6 +119,8 @@ def generate_geometry(shape_tag, extent, voxels_per_wavelength, k0):
     if vpw < 8:
         raise ValueError("voxels_per_wavelength must be >= 8")
     extent = np.atleast_1d(np.asarray(extent, dtype=np.float64))
+    if extent.size == 0 or not np.all(np.isfinite(extent)):
+        raise ValueError(f"extents must be non-empty and finite, got {extent.tolist()}")
     if np.any(extent <= 0):
         raise ValueError("extents must be positive")
     lam = 2.0 * np.pi / k0

@@ -458,6 +458,23 @@ class TestBicgstab:
         assert np.array_equal(x, x_ref)
         assert report.residual_history == ref.residual_history
 
+    def test_scale_free(self, rng):
+        # the breakdown floor is relative to ||b||, so scaling b scales every
+        # iterate and leaves the relative residuals alone
+        n = 50
+        a = 2.0 * np.eye(n) + 0.5 * _cvec(rng, n * n).reshape(n, n) / np.sqrt(n)
+        b = _cvec(rng, n)
+        reports = {}
+        for scale in (1.0, 1e-20, 1e20):
+            x, reports[scale] = bicgstab_solve(lambda v: a @ v, scale * b, tol=1e-8)
+            assert reports[scale].converged
+            assert np.linalg.norm(a @ x - scale * b) <= 1e-8 * scale * np.linalg.norm(b)
+        ref = reports[1.0]
+        for scale in (1e-20, 1e20):
+            assert reports[scale].iterations == ref.iterations
+            np.testing.assert_allclose(reports[scale].residual_history,
+                                       ref.residual_history, rtol=1e-10)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             bicgstab_solve(lambda v: v, np.ones(4), tol=0.0)

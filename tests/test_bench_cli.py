@@ -266,6 +266,23 @@ class TestCli:
         assert rc == 1
         assert "n_min must be >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting,message", [
+        ("eta=nan", "eta must be positive and finite"),
+        ("eta=inf", "eta must be positive and finite"),
+        ("extent=", "extents must be non-empty and finite"),
+        ("extent=inf", "extents must be non-empty and finite"),
+    ], ids=["eta-nan", "eta-inf", "extent-empty", "extent-inf"])
+    def test_malformed_setting_exit_code(self, tmp_path, capsys, setting, message):
+        rc = main([
+            "solve",
+            "--set", "shape=slab", "--set", "extent=2,2", "--set", "n_min=16",
+            "--set", "solver=iterative", "--set", setting,
+            "--set", f"out={tmp_path/'s.csv'}",
+            "--set", f"solution_out={tmp_path/'sol.txt'}",
+        ])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_empty_sweep_exit_code(self, tmp_path, capsys):
         rc = main([
             "rank-study", "--set", "sweep=", "--set", f"out={tmp_path/'r.csv'}",

@@ -105,6 +105,14 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             cl.is_admissible(a, a, 0.0)
 
+    @pytest.mark.parametrize("eta", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_eta_must_be_finite(self, eta):
+        # a NaN eta admits no block, an infinite one multiplies 0 * inf
+        geom = kernel.generate_geometry("slab", [2, 2], 10, 2 * np.pi)
+        t = cl.ClusterTree(geom.centers, 16)
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            cl.build_block_tree(t, eta)
+
     @settings(max_examples=50, deadline=None)
     @given(data=st.lists(st.floats(-5, 5), min_size=12, max_size=12),
            eta=st.floats(0.1, 3))

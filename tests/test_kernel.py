@@ -40,6 +40,12 @@ class TestGeometry:
         with pytest.raises(ValueError):
             kernel.generate_geometry("rod", [0.01], 10, K0)
 
+    @pytest.mark.parametrize("extent", [[], [np.inf], [np.nan]],
+                             ids=["empty", "inf", "nan"])
+    def test_malformed_extent_rejected(self, extent):
+        with pytest.raises(ValueError, match="extents must be non-empty and finite"):
+            kernel.generate_geometry("rod", extent, 10, K0)
+
     def test_coarse_discretization_rejected(self):
         with pytest.raises(ValueError):
             kernel.generate_geometry("rod", [1.0], 6, K0)
