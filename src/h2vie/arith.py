@@ -567,6 +567,12 @@ def bicgstab_solve(apply, rhs, tol=1e-3, max_iter=200, shadow=None):
     within tol. The shadow residual defaults to the initial residual; pass
     `shadow` to override.
 
+    Scale: the solve runs on rhs 2^-e (and shadow 2^-e), where 2^e is the
+    power of two just above the largest magnitude of a real or imaginary
+    part of rhs, and returns x 2^e. A power-of-two scaling is exact, so x
+    and the history are those of the unscaled solve, but no norm or inner
+    product under- or overflows at any rhs scale, subnormal included.
+
     Breakdown: rho = <r_hat, r> below eps^2 ||rhs||^2, a floor relative to
     the rhs so that the iterates do not depend on its scale. The first such
     breakdown restarts from the current iterate with the current residual
@@ -580,13 +586,16 @@ def bicgstab_solve(apply, rhs, tol=1e-3, max_iter=200, shadow=None):
         raise ValueError("max_iter must be >= 1")
     b = np.asarray(rhs, dtype=np.complex128)
     _check_finite("rhs", b)
+    # the parts' largest magnitude, unlike |b|, cannot overflow
+    e = int(np.frexp(np.abs(np.stack([b.real, b.imag])).max(initial=0.0))[1])
+    b = _ldexp(b, -e)
     bnrm = np.linalg.norm(b)
     if bnrm == 0.0:
         return np.zeros(b.size, dtype=np.complex128), SolveReport(0, [], True)
     floor = np.finfo(np.float64).eps**2 * bnrm**2
     x = np.zeros(b.size, dtype=np.complex128)
     r = b.copy()
-    r_hat = r.copy() if shadow is None else np.asarray(shadow, dtype=np.complex128).copy()
+    r_hat = r.copy() if shadow is None else _ldexp(np.asarray(shadow, dtype=np.complex128), -e)
     p = None  # no search direction yet: the first one is r
     history = []
     restarted = False
@@ -634,4 +643,12 @@ def bicgstab_solve(apply, rhs, tol=1e-3, max_iter=200, shadow=None):
         if rel <= tol or not np.isfinite(rel):
             break
 
-    return x, SolveReport(it, history, bool(history) and history[-1] <= tol)
+    return _ldexp(x, e), SolveReport(it, history, bool(history) and history[-1] <= tol)
+
+
+def _ldexp(z, e):
+    """z 2^e for a complex array z, exact in the normal and subnormal range."""
+    out = np.empty_like(z)
+    out.real = np.ldexp(z.real, e)
+    out.imag = np.ldexp(z.imag, e)
+    return out

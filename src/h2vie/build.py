@@ -7,12 +7,13 @@ plain low-rank factor A_t @ B_t.T whose B_t has orthonormal columns
 followed by an SVD trim above them). Stage II turns those factors into one
 shared family of orthonormal cluster bases by one bottom-up rule: the
 stacked rows [A_j|c] of each cluster's own and its ancestors' grouped blocks
-(B_j is orthonormal, so they carry the blocks' row space; projected onto
-the children's bases above the leaves) are truncated by the same SVD rule,
-giving a leaf basis or two transfer matrices. Each admissible block then
-reduces to a small coupling matrix between two bases; inadmissible leaf
-blocks stay dense. Every rank in the build is chosen by
-linalg.truncated_svd.
+(B_j is orthonormal, so they carry the blocks' row space) are truncated by
+the same SVD rule, giving a leaf basis or two transfer matrices. Above the
+leaves those rows come projected onto the children's bases, as the
+coefficients s_k Vh_k that each child's SVD hands to its parent. Each
+admissible block then reduces to a small coupling matrix between two
+bases; inadmissible leaf blocks stay dense. Every rank in the build is
+chosen by linalg.truncated_svd.
 
 The shared form V_t S_{t,s} V_s^T needs the columns of S_{t,s}, that is
 the rows of S_{s,t}^T = diag(chi_s) K_{s,t}, to lie in span(V_s). Only a
@@ -381,38 +382,31 @@ def build_all_cluster_ab(tree, btree, oracle, params):
 def build_bases(tree, abs_map, params):
     """Stage II: one bottom-up sweep with one SVD rule for every cluster.
 
-    X_c = [X_j | ...] over j in {c} + ancestors(c) stacks c's rows of every
-    grouped block M_j = A_j B_j^T: B_j has orthonormal columns, so c's rows
-    of M_j have the left singular vectors and values of X_j, which is A_j's
-    rows of c on a leaf and those rows projected onto the children's bases
-    (apply_vh) above it. The left singular vectors U_k of X_c that
-    truncated_svd keeps at eps_acc are the leaf basis or the stacked
-    transfers [T_lo; T_hi]; a zero or empty X_c gives an empty basis of the
-    right shape. Every cluster gets a basis.
+    X_c stacks, over j in {c} + ancestors(c), c's share of the grouped block
+    M_j = A_j B_j^T: B_j has orthonormal columns, so X_j = A_j|c carries
+    the left singular vectors and values of c's rows of M_j. A leaf stacks
+    [A_c|c | A_p|c | ...] directly. The truncated_svd X_c ~= U_k s_k Vh_k at
+    eps_acc gives the leaf basis or the stacked transfers [T_lo; T_hi] as
+    U_k, and s_k Vh_k = U_k^H X_c is c's coefficient block
+    [V_c^H A_c|c | V_c^H A_p|c | ...]. A non-leaf therefore stacks its two
+    children's coefficient blocks less the columns of the children's own
+    factors: each ancestor's factor is projected once, by the SVDs on the
+    way up, and never again from the leaves. A zero or empty X_c gives an
+    empty basis of the right shape. Every cluster gets a basis.
     """
     basis = NestedBasis(tree)
+    coeffs = {}  # cid -> s_k Vh_k, until its parent takes it
     for level in reversed(tree.levels):
         for cid in level:
             c = tree.cluster(cid)
             if c.is_leaf:
-                width = c.size
+                x = np.hstack([abs_map[j].a[c.start - tree.cluster(j).start:][:c.size]
+                               for j in [cid, *tree.ancestors(cid)]])
             else:
-                lo, hi = c.children()
-                n_lo = tree.cluster(lo).size
-                width = basis.rank(lo) + basis.rank(hi)
-            xs = [np.zeros((width, 0), dtype=np.complex128)]
-            for j in [cid, *tree.ancestors(cid)]:
-                f = abs_map[j]
-                if f.rank == 0:
-                    continue
-                off = c.start - tree.cluster(j).start
-                x = f.a[off:off + c.size]
-                if not c.is_leaf:
-                    x = np.vstack([basis.apply_vh(lo, x[:n_lo]),
-                                   basis.apply_vh(hi, x[n_lo:])])
-                xs.append(x)
-            p, _, _ = truncated_svd(np.hstack(xs), params.eps_acc)
-            basis.set_basis(cid, p)
+                x = np.vstack([coeffs.pop(k)[:, abs_map[k].rank:] for k in c.children()])
+            u, s, vh = truncated_svd(x, params.eps_acc)
+            basis.set_basis(cid, u)
+            coeffs[cid] = s[:, None] * vh
     return basis
 
 

@@ -460,17 +460,21 @@ class TestBicgstab:
 
     def test_scale_free(self, rng):
         # the breakdown floor is relative to ||b||, so scaling b scales every
-        # iterate and leaves the relative residuals alone
+        # iterate and leaves the relative residuals alone; at 1e-170 ||b||^2
+        # underflows and at 1e160 it overflows unless the solve rescales b
         n = 50
         a = 2.0 * np.eye(n) + 0.5 * _cvec(rng, n * n).reshape(n, n) / np.sqrt(n)
         b = _cvec(rng, n)
+        scales = (1.0, 1e-20, 1e20, 1e-170, 1e160)
         reports = {}
-        for scale in (1.0, 1e-20, 1e20):
+        for scale in scales:
             x, reports[scale] = bicgstab_solve(lambda v: a @ v, scale * b, tol=1e-8)
             assert reports[scale].converged
-            assert np.linalg.norm(a @ x - scale * b) <= 1e-8 * scale * np.linalg.norm(b)
+            # the residual of x / scale: at these scales ||a x - scale b||
+            # itself under- or overflows
+            assert np.linalg.norm(a @ (x / scale) - b) <= 1e-8 * np.linalg.norm(b)
         ref = reports[1.0]
-        for scale in (1e-20, 1e20):
+        for scale in scales[1:]:
             assert reports[scale].iterations == ref.iterations
             np.testing.assert_allclose(reports[scale].residual_history,
                                        ref.residual_history, rtol=1e-10)

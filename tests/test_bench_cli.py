@@ -211,6 +211,8 @@ class TestRunners:
             out=str(tmp_path / "s.csv"),
         )
         records = bench.run_scaling_study(cfg)
+        # one record per swept size: the warm-up pass writes none
+        assert [r.lam for r in records[:-1]] == cfg.sweep
         assert records[-1].experiment == "slopes"
         assert records[-1].matvec_s is not None
         parsed = parse_csv(cfg.out)

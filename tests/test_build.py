@@ -8,7 +8,11 @@ K0 = 2.0 * np.pi
 
 
 def _rod_setup(length, n_min=16, eps=1e-5):
-    geom = kernel.generate_geometry("rod", [length], 10, K0)
+    return _setup("rod", [length], n_min, eps)
+
+
+def _setup(shape, extent, n_min=16, eps=1e-5):
+    geom = kernel.generate_geometry(shape, extent, 10, K0)
     kp = kernel.KernelParams(k0=K0)
     oracle = kernel.entry_oracle(geom, kp)
     tree = cl.ClusterTree(geom.centers, n_min)
@@ -221,23 +225,25 @@ class TestBases:
         # the nested (children-projected) basis must capture the directly
         # assembled parent Gram as well as a direct eigendecomposition would;
         # the comparison is Gram-weighted since directions near the truncation
-        # threshold carry no energy and are free to rotate
-        geom, kp, oracle, tree, btree, params = _rod_setup(16.4, eps=1e-6)
-        abs_map = build.build_all_cluster_ab(tree, btree, oracle, params)
-        basis = build.build_bases(tree, abs_map, params)
+        # threshold carry no energy and are free to rotate; 1-D, 2-D and 3-D
+        # trees differ in how many ancestors' factors reach a cluster
+        for shape, extent in [("rod", [16.4]), ("slab", [2, 2]), ("cube_array", [2, 2, 2])]:
+            geom, kp, oracle, tree, btree, params = _setup(shape, extent, eps=1e-6)
+            abs_map = build.build_all_cluster_ab(tree, btree, oracle, params)
+            basis = build.build_bases(tree, abs_map, params)
 
-        checked = 0
-        for c in tree.clusters:
-            if c.is_leaf or basis.rank(c.id) == 0:
-                continue
-            m = _grouped_rows(tree, abs_map, c.id)
-            g = m @ m.conj().T
-            g = 0.5 * (g + g.conj().T)
-            v = basis.materialize(c.id)
-            resid = g - v @ (v.conj().T @ g)
-            assert np.linalg.norm(resid, 2) <= 10 * params.eps_acc * np.linalg.norm(g, 2)
-            checked += 1
-        assert checked > 0
+            checked = 0
+            for c in tree.clusters:
+                if c.is_leaf or basis.rank(c.id) == 0:
+                    continue
+                m = _grouped_rows(tree, abs_map, c.id)
+                g = m @ m.conj().T
+                g = 0.5 * (g + g.conj().T)
+                v = basis.materialize(c.id)
+                resid = g - v @ (v.conj().T @ g)
+                assert np.linalg.norm(resid, 2) <= 10 * params.eps_acc * np.linalg.norm(g, 2)
+                checked += 1
+            assert checked > 0, shape
 
     def test_zero_rank_children_give_empty_transfers(self):
         geom = kernel.generate_geometry("rod", [3.2], 10, K0)

@@ -105,11 +105,14 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             cl.is_admissible(a, a, 0.0)
 
-    @pytest.mark.parametrize("eta", [np.nan, np.inf], ids=["nan", "inf"])
-    def test_eta_must_be_finite(self, eta):
-        # a NaN eta admits no block, an infinite one multiplies 0 * inf
+    @pytest.mark.parametrize("eta,n_min", [(np.nan, 16), (np.inf, 16), (np.nan, 400),
+                                           (np.inf, 400)],
+                             ids=["nan", "inf", "nan-one-leaf", "inf-one-leaf"])
+    def test_eta_must_be_finite(self, eta, n_min):
+        # a NaN eta admits no block, an infinite one multiplies 0 * inf; a
+        # one-leaf tree (n_min >= N = 400) still checks its root pair
         geom = kernel.generate_geometry("slab", [2, 2], 10, 2 * np.pi)
-        t = cl.ClusterTree(geom.centers, 16)
+        t = cl.ClusterTree(geom.centers, n_min)
         with pytest.raises(ValueError, match="eta must be positive and finite"):
             cl.build_block_tree(t, eta)
 
