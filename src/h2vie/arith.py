@@ -12,9 +12,13 @@ inverses, and returns a matrix with the same structure as its input.
 If the input is complex symmetric bit for bit (every block equals its
 mirror's transpose, as build_h2's operators are), the inverse runs a
 symmetric recursion: the upper Schur blocks X12 = X21^T and S12 = S21^T
-are mirrored instead of multiplied, and each Schur complement is
-symmetrized before it is inverted. Any other input takes the general
-recursion with all six products per level.
+are mirrored instead of multiplied, and the two products that update a
+diagonal block (whose results are symmetric) form only its upper target
+leaves, t <= r; each lower leaf is then written as its upper mirror's
+transpose and each diagonal leaf, dense leaf inverses included, is
+averaged with its own transpose, so the inverse is complex symmetric bit
+for bit as well. Any other input takes the general recursion with all six
+products per level on every target.
 The product has one contribution rule: each operand block is taken once
 into a left or right frame, the identity for a dense target block and
 the cluster bases for any other, and the contribution is the product of
@@ -327,7 +331,7 @@ def _add_products(c, a, b, work, sign):
     return pending
 
 
-def _flush_pending(c, pending):
+def _flush_pending(c, pending, upper):
     """Land the merged payloads V_t core V_r^T, top level first.
 
     A coupling adds its core, a dense leaf expands it, and a subdivided node
@@ -335,7 +339,8 @@ def _flush_pending(c, pending):
     left one once per row of children) into pending one level down, where
     it merges with what was aimed there. Each (t, r) node is visited once no
     matter how many contributions were aimed at it, which keeps one full
-    product at O(nodes) placement work.
+    product at O(nodes) placement work. With `upper` a diagonal node is
+    split into its upper children (ti <= rj) only.
     """
     tree = c.tree
     basis = c.basis
@@ -351,17 +356,23 @@ def _flush_pending(c, pending):
                 for ti, tr_t in zip(tree.cluster(t).children(), basis.transfers[t]):
                     rows = tr_t @ core
                     for rj, tr_r in rights:
+                        if upper and ti > rj:
+                            continue
                         part = rows @ tr_r.T
                         if part.size:
                             _merge(pending[level + 1], (ti, rj), part)
 
 
-def _mul_walk(c, t, s, r):
+def _mul_walk(c, t, s, r, upper=False):
     """Record every contribution below (t, s, r) once, depth first.
 
     A triple of three subdivided nodes expands into its children. Every
     other one is recorded as {s: {(kind_c, a_basis, b_basis): (ts, rs)}}:
-    the target's kind and whether each operand keeps a basis at s.
+    the target's kind and whether each operand keeps a basis at s. With
+    `upper` every triple whose target lies below the diagonal (t > r) is
+    skipped. Cluster ids grow left to right within a level, so the children
+    of t < r all lie left of those of r and such a target's whole subtree
+    stays in.
     """
     # the operands share C's block tree; nodes.get is btree.kind without
     # its call frame, which counts at ~10^5 triples per product
@@ -371,6 +382,8 @@ def _mul_walk(c, t, s, r):
     stack = [(t, s, r)]
     while stack:
         t, s, r = stack.pop()
+        if upper and t > r:
+            continue
         kind_c = kind((t, r))
         kind_a = kind((t, s))
         kind_b = kind((s, r))
@@ -385,7 +398,7 @@ def _mul_walk(c, t, s, r):
     return work
 
 
-def _mul_into(c, a, b, t, s, r, sign):
+def _mul_into(c, a, b, t, s, r, sign, upper=False):
     """One formatted product C[t,r] += sign * A[t,s] @ B[s,r], flushed.
 
     A and B are read-only for the whole call, and C's target blocks are
@@ -396,8 +409,11 @@ def _mul_into(c, a, b, t, s, r, sign):
     as X @ Y in the frames its target sets, forming the halves of one s at
     a time (see the comment above _block_apply); _flush_pending lands the
     payloads merged at subdivided nodes down the structure once per node.
+    With `upper` only the target leaves (t', r') with t' <= r' are formed;
+    the others are left as they were.
     """
-    _flush_pending(c, _add_products(c, a, b, _mul_walk(c, t, s, r), sign))
+    work = _mul_walk(c, t, s, r, upper)
+    _flush_pending(c, _add_products(c, a, b, work, sign), upper)
 
 
 def h2_zeros_like(m):
@@ -419,12 +435,18 @@ def h2_mul_formatted(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _subtree_leaves(m, t, s):
-    """(key, kind) for every block-tree leaf under node (t, s)."""
+def _subtree_leaves(m, t, s, upper=False):
+    """(key, kind) for every block-tree leaf under node (t, s).
+
+    With `upper` only the leaves (a, b) with a <= b; the subtree of a node
+    below the diagonal holds no other, so it is not walked.
+    """
     out = []
     stack = [(t, s)]
     while stack:
         key = stack.pop()
+        if upper and key[0] > key[1]:
+            continue
         kind = m.btree.kind(key)
         if kind == cl.SUBDIVIDED:
             stack.extend(cl.block_children(m.tree, *key))
@@ -454,18 +476,19 @@ def _zero_subtree(m, t, s):
 
 
 def _mirror_subtree(m, t, s):
-    """Every leaf of the (s, t) subtree of m <- the transpose of its mirror under (t, s)."""
-    for (a, b), kind in _subtree_leaves(m, t, s):
+    """Write each leaf under (t, s) of m into its mirror's place, transposed.
+
+    Off the diagonal every leaf (a, b) under (t, s) sets (b, a) <- (a, b)^T.
+    On a diagonal block (t == s) the upper leaves (a < b) are the sources,
+    and each diagonal leaf is averaged with its own transpose, so the whole
+    block equals its transpose bit for bit.
+    """
+    for (a, b), kind in _subtree_leaves(m, t, s, upper=t == s):
         blocks = m.coupling if kind == cl.ADMISSIBLE else m.dense
-        blocks[(b, a)][...] = blocks[(a, b)].T
-
-
-def _symmetrize_subtree(m, t):
-    """Average every leaf of the diagonal block (t, t) with its mirror."""
-    for (a, b), kind in _subtree_leaves(m, t, t):
-        if a <= b:
-            blocks = m.coupling if kind == cl.ADMISSIBLE else m.dense
-            average_mirrors(blocks[(a, b)], blocks[(b, a)])
+        if a == b:
+            average_mirrors(blocks[(a, b)], blocks[(a, b)])
+        else:
+            blocks[(b, a)][...] = blocks[(a, b)].T
 
 
 def _is_symmetric(m):
@@ -479,18 +502,25 @@ def _invert_rec(m, t, symmetric):
     """In-place inverse of the diagonal block (t, t) per the 2x2 recursion.
 
     With `symmetric` the block is complex symmetric bit for bit, and so is
-    every diagonal block the recursion inverts: X12 = S11^{-1} S12 = X21^T
-    is not formed, the Schur complement is symmetrized before it is
-    inverted, and S12 = -X12 F^{-1} = S21^T is mirrored, not multiplied.
+    the inverse left in its place. X12 = S11^{-1} S12 = X21^T is not
+    formed, and S12 = -X12 F^{-1} = S21^T is mirrored, not multiplied. The
+    two updates of diagonal blocks, F = S22 - X21 S12 and S11^{-1} -
+    S12 X21, have symmetric results, so they form their upper target
+    leaves (t' <= r') only and _mirror_subtree writes the lower ones;
+    every diagonal leaf, dense leaf inverses included, is averaged with its
+    own transpose.
     """
     kind = m.btree.kind((t, t))
     if kind == cl.INADMISSIBLE:
+        d = m.dense[(t, t)]
         try:
-            m.dense[(t, t)][...] = dense_lu_invert(m.dense[(t, t)])
+            d[...] = dense_lu_invert(d)
         except SingularMatrixError as exc:
             raise SingularLeafError(
                 f"diagonal leaf of cluster {t} is singular: {exc}", t
             ) from exc
+        if symmetric:
+            average_mirrors(d, d)
         return
     lo, hi = m.tree.cluster(t).children()
     _invert_rec(m, lo, symmetric)  # S11 <- S11^{-1}
@@ -499,9 +529,9 @@ def _invert_rec(m, t, symmetric):
     if not symmetric:
         x12 = _fresh_block(m, lo, hi)
         _mul_into(x12, m, m, lo, lo, hi, 1)  # X12 = S11^{-1} S12
-    _mul_into(m, x21, m, hi, lo, hi, -1)  # S22 <- S22 - X21 S12
+    _mul_into(m, x21, m, hi, lo, hi, -1, symmetric)  # S22 <- S22 - X21 S12
     if symmetric:
-        _symmetrize_subtree(m, hi)  # F = F^T bit for bit
+        _mirror_subtree(m, hi, hi)  # F = F^T bit for bit
     _invert_rec(m, hi, symmetric)  # S22 <- F^{-1}
     _zero_subtree(m, hi, lo)
     _mul_into(m, m, x21, hi, hi, lo, -1)  # S21 <- -F^{-1} X21
@@ -510,7 +540,9 @@ def _invert_rec(m, t, symmetric):
     else:
         _zero_subtree(m, lo, hi)
         _mul_into(m, x12, m, lo, hi, hi, -1)  # S12 <- -X12 F^{-1}
-    _mul_into(m, m, x21, lo, hi, lo, -1)  # S11 <- S11^{-1} - S12 X21
+    _mul_into(m, m, x21, lo, hi, lo, -1, symmetric)  # S11 <- S11^{-1} - S12 X21
+    if symmetric:
+        _mirror_subtree(m, lo, lo)  # S11 = S11^T bit for bit
 
 
 def h2_invert(m):
@@ -518,9 +550,11 @@ def h2_invert(m):
 
     The input is left untouched; a private copy is mutated in place. If
     every block of m equals the transpose of its mirror exactly (build_h2's
-    operators do, see h2vie.build), the recursion runs its symmetric form,
-    which forms four of the six products per level; any other input, such
-    as a formatted product, takes the general form.
+    operators do, see h2vie.build), the recursion runs its symmetric form:
+    it forms four of the six products per level, the two that update
+    diagonal blocks on their upper target leaves only, and returns an
+    inverse whose every block equals its mirror's transpose bit for bit.
+    Any other input, such as a formatted product, takes the general form.
     """
     inv = m.copy()
     _invert_rec(inv, m.tree.root, _is_symmetric(m))

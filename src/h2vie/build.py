@@ -415,10 +415,12 @@ def build_coupling(btree, abs_map, basis, tree):
 
     S_{t,s} = (V_t^H A_t) (V_s^H B_t|s)^T, with V_t^H A_t computed once per
     target and B_t|s the #s rows of B_t that belong to partner s; the
-    tree's cluster sizes give their spans. Each S_{t,s} is written into its
-    view of one row [S_{t,s1} | ...] per target, which H2Matrix keeps as
-    that block row's buffer. Keys come in btree.admissible order, which
-    fixes the summation order of each row.
+    tree's cluster sizes give their spans. The B_t|s of every target t
+    that has s as a partner are stacked side by side and projected by one
+    V_s^H per source cluster s. Each S_{t,s} is written into its view of
+    one row [S_{t,s1} | ...] per target, which H2Matrix keeps as that
+    block row's buffer. Keys come in btree.admissible order, which fixes
+    the summation order of each row.
 
     The uniform-contrast VIE matrix is complex symmetric (reciprocity), but
     S_{t,s} and S_{s,t} come from two different cross approximations and
@@ -428,15 +430,22 @@ def build_coupling(btree, abs_map, basis, tree):
     arith.h2_invert exploits) and no pair's Frobenius error rises.
     """
     coupling = {}
+    proj_a = {}
+    by_source = {}  # s -> [(t, B_t|s), ...]
     for t, partners in sorted(btree.partners.items()):
         f = abs_map[t]
-        proj_a = basis.apply_vh(t, f.a)
+        proj_a[t] = basis.apply_vh(t, f.a)
         widths = [basis.rank(s) for s in partners]
         row = np.empty((basis.rank(t), sum(widths)), dtype=np.complex128)
+        coupling.update(zip([(t, s) for s in partners], _column_views(row, widths)))
         sizes = [tree.cluster(s).size for s in partners]
-        b_rows = np.split(f.b, np.cumsum(sizes[:-1]))
-        for s, b_s, out in zip(partners, b_rows, _column_views(row, widths)):
-            coupling[(t, s)] = np.matmul(proj_a, basis.apply_vh(s, b_s).T, out=out)
+        for s, b_s in zip(partners, np.split(f.b, np.cumsum(sizes[:-1]))):
+            by_source.setdefault(s, []).append((t, b_s))
+    for s, blocks in by_source.items():
+        vb = basis.apply_vh(s, np.hstack([b_s for _, b_s in blocks]))
+        vb_ts = _column_views(vb, [b_s.shape[1] for _, b_s in blocks])
+        for (t, _), vb_t in zip(blocks, vb_ts):
+            np.matmul(proj_a[t], vb_t.T, out=coupling[(t, s)])
     for (t, s), s_ts in coupling.items():
         if t < s:
             average_mirrors(s_ts, coupling[(s, t)])

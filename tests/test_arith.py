@@ -3,11 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from h2vie import build, clustering as cl, kernel
+from h2vie import bench, build, clustering as cl, kernel
 from h2vie.arith import (
     SingularLeafError,
-    _subtree_leaves,
+    _invert_rec,
     _mul_into,
+    _mul_walk,
+    _subtree_leaves,
     StructureMismatchError,
     apply_inverse_solve,
     bicgstab_solve,
@@ -390,12 +392,39 @@ class TestSymmetry:
             for p, q in pairs:
                 assert np.array_equal(p, q.T)
 
-    def test_symmetric_inverse_mirrors_root_blocks(self, rod164, cube3):
-        for _, _, h2, _ in (rod164, cube3):
+    def test_symmetric_inverse_is_symmetric_bit_for_bit(self, rod164, cube3, slab35):
+        # leaf inverses, Schur complements and S11 updates included, so the
+        # inverse is itself a valid exactly symmetric input
+        for _, _, h2, _ in (rod164, cube3, slab35):
             inv = h2_invert(h2)
-            lo, hi = inv.tree.cluster(inv.tree.root).children()
-            for p, q in _mirrored_pairs(inv, lo, hi):
+            root = inv.tree.root
+            for p, q in _mirrored_pairs(inv, root, root):
                 assert np.array_equal(p, q.T)
+
+    def test_upper_walk_keeps_the_upper_targets(self, rod164, cube3, slab35):
+        # S22 -= X21 S12 at the root, walked on upper targets only, records
+        # exactly the full walk's contributions with t <= r
+        def contributions(work):
+            return sorted((s, group, t, r) for s, groups in work.items()
+                          for group, (ts, rs) in groups.items()
+                          for t, r in zip(ts, rs))
+
+        for _, _, h2, _ in (rod164, cube3, slab35):
+            lo, hi = h2.tree.cluster(h2.tree.root).children()
+            full = contributions(_mul_walk(h2, hi, lo, hi))
+            upper = contributions(_mul_walk(h2, hi, lo, hi, upper=True))
+            assert any(t > r for _, _, t, r in full)
+            assert upper == [c for c in full if c[2] <= c[3]]
+
+    def test_symmetric_inverse_as_accurate_as_general(self, rod164, cube3, slab35, cube533):
+        for _, _, h2, _ in (rod164, cube3, slab35, cube533):
+            general = h2.copy()
+            _invert_rec(general, h2.tree.root, False)
+            est_sym = bench.inverse_residual_estimate(
+                h2, h2_invert(h2), np.random.default_rng(0))
+            est_gen = bench.inverse_residual_estimate(
+                h2, general, np.random.default_rng(0))
+            assert est_sym <= 1.1 * est_gen
 
     def test_non_symmetric_input_takes_general_path(self, rod164):
         _, _, h2, _ = rod164

@@ -273,6 +273,25 @@ class TestCoupling:
                      if spans[t] == (lo, hi) and v.size]
             assert views and all(buf is view.base for view in views)
 
+    def test_stacked_projection_matches_per_block(self):
+        # each source's B_t|s are projected together; the result must match
+        # projecting every block on its own, then averaging mirrored pairs
+        geom, kp, oracle, tree, btree, params = _setup("slab", [3.5, 3.5], 32, 1e-4)
+        abs_map = build.build_all_cluster_ab(tree, btree, oracle, params)
+        basis = build.build_bases(tree, abs_map, params)
+        coupling = build.build_coupling(btree, abs_map, basis, tree)
+        single = {}
+        for t, partners in btree.partners.items():
+            f = abs_map[t]
+            sizes = [tree.cluster(s).size for s in partners]
+            for s, b_s in zip(partners, np.split(f.b, np.cumsum(sizes[:-1]))):
+                single[(t, s)] = basis.apply_vh(t, f.a) @ basis.apply_vh(s, b_s).T
+        assert set(coupling) == set(single)
+        for (t, s), got in coupling.items():
+            ref = 0.5 * (single[(t, s)] + single[(s, t)].T)
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+            assert np.array_equal(got, coupling[(s, t)].T)
+
     def test_reconstruction_matches_dense_slice(self, rod164):
         geom, kp, h2, dense = rod164
         tree = h2.tree
