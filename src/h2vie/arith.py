@@ -11,14 +11,15 @@ recursive inverse is built from those two operations and dense leaf
 inverses, and returns a matrix with the same structure as its input.
 If the input is complex symmetric bit for bit (every block equals its
 mirror's transpose, as build_h2's operators are), the inverse runs a
-symmetric recursion: the upper Schur blocks X12 = X21^T and S12 = S21^T
-are mirrored instead of multiplied, and the two products that update a
-diagonal block (whose results are symmetric) form only its upper target
-leaves, t <= r; each lower leaf is then written as its upper mirror's
-transpose and each diagonal leaf, dense leaf inverses included, is
-averaged with its own transpose, so the inverse is complex symmetric bit
-for bit as well. Any other input takes the general recursion with all six
-products per level on every target.
+symmetric recursion with one rule for every symmetric block it writes:
+form the upper target leaves (t <= r), write each lower leaf as its
+mirror's transpose and average each diagonal leaf with its own transpose.
+The call that writes such a block applies the rule: the dense leaf
+inverse, and each product that updates a diagonal block, run with
+`upper`. The upper Schur blocks X12 = X21^T and S12 = S21^T are mirrored
+instead of multiplied, so the inverse is complex symmetric bit for bit as
+well. Any other input takes the general recursion with all six products
+per level on every target.
 The product has one contribution rule: each operand block is taken once
 into a left or right frame, the identity for a dense target block and
 the cluster bases for any other, and the contribution is the product of
@@ -409,11 +410,16 @@ def _mul_into(c, a, b, t, s, r, sign, upper=False):
     as X @ Y in the frames its target sets, forming the halves of one s at
     a time (see the comment above _block_apply); _flush_pending lands the
     payloads merged at subdivided nodes down the structure once per node.
-    With `upper` only the target leaves (t', r') with t' <= r' are formed;
-    the others are left as they were.
+    With `upper` the target is a diagonal block (t == r) whose result is
+    symmetric: only its upper leaves (t' <= r') are formed, and
+    _mirror_subtree then writes each lower leaf as its mirror's transpose
+    and averages each diagonal leaf, so the block equals its transpose bit
+    for bit on return.
     """
     work = _mul_walk(c, t, s, r, upper)
     _flush_pending(c, _add_products(c, a, b, work, sign), upper)
+    if upper:
+        _mirror_subtree(c, t, t)
 
 
 def h2_zeros_like(m):
@@ -436,8 +442,9 @@ def h2_mul_formatted(a, b):
 
 
 def _subtree_leaves(m, t, s, upper=False):
-    """(key, kind) for every block-tree leaf under node (t, s).
+    """(key, payloads) for every block-tree leaf under node (t, s).
 
+    payloads is the dict of m that holds the key, m.coupling or m.dense.
     With `upper` only the leaves (a, b) with a <= b; the subtree of a node
     below the diagonal holds no other, so it is not walked.
     """
@@ -451,7 +458,7 @@ def _subtree_leaves(m, t, s, upper=False):
         if kind == cl.SUBDIVIDED:
             stack.extend(cl.block_children(m.tree, *key))
         else:
-            out.append((key, kind))
+            out.append((key, m.coupling if kind == cl.ADMISSIBLE else m.dense))
     return out
 
 
@@ -459,20 +466,14 @@ def _fresh_block(m, t, s):
     """Zero-initialized accumulator covering only the (t, s) subtree of m."""
     coupling = {}
     dense = {}
-    for key, kind in _subtree_leaves(m, t, s):
-        if kind == cl.ADMISSIBLE:
-            coupling[key] = np.zeros_like(m.coupling[key])
-        else:
-            dense[key] = np.zeros_like(m.dense[key])
+    for key, payloads in _subtree_leaves(m, t, s):
+        (coupling if payloads is m.coupling else dense)[key] = np.zeros_like(payloads[key])
     return H2Matrix.blockwise(m.tree, m.btree, m.basis, coupling, dense, m.params)
 
 
 def _zero_subtree(m, t, s):
-    for key, kind in _subtree_leaves(m, t, s):
-        if kind == cl.ADMISSIBLE:
-            m.coupling[key][:] = 0
-        else:
-            m.dense[key][:] = 0
+    for key, payloads in _subtree_leaves(m, t, s):
+        payloads[key][:] = 0
 
 
 def _mirror_subtree(m, t, s):
@@ -483,12 +484,11 @@ def _mirror_subtree(m, t, s):
     and each diagonal leaf is averaged with its own transpose, so the whole
     block equals its transpose bit for bit.
     """
-    for (a, b), kind in _subtree_leaves(m, t, s, upper=t == s):
-        blocks = m.coupling if kind == cl.ADMISSIBLE else m.dense
+    for (a, b), payloads in _subtree_leaves(m, t, s, upper=t == s):
         if a == b:
-            average_mirrors(blocks[(a, b)], blocks[(a, b)])
+            average_mirrors(payloads[(a, b)], payloads[(a, b)])
         else:
-            blocks[(b, a)][...] = blocks[(a, b)].T
+            payloads[(b, a)][...] = payloads[(a, b)].T
 
 
 def _is_symmetric(m):
@@ -502,13 +502,13 @@ def _invert_rec(m, t, symmetric):
     """In-place inverse of the diagonal block (t, t) per the 2x2 recursion.
 
     With `symmetric` the block is complex symmetric bit for bit, and so is
-    the inverse left in its place. X12 = S11^{-1} S12 = X21^T is not
-    formed, and S12 = -X12 F^{-1} = S21^T is mirrored, not multiplied. The
-    two updates of diagonal blocks, F = S22 - X21 S12 and S11^{-1} -
-    S12 X21, have symmetric results, so they form their upper target
-    leaves (t' <= r') only and _mirror_subtree writes the lower ones;
-    every diagonal leaf, dense leaf inverses included, is averaged with its
-    own transpose.
+    the inverse left in its place. Each diagonal block it writes, a dense
+    leaf inverse, F = S22 - X21 S12 or S11^{-1} - S12 X21, has a symmetric
+    result and takes the symmetric rule: the leaf inverse is averaged with
+    its transpose, and the two products run with `upper`, forming the upper
+    target leaves only and mirroring the rest. X12 = S11^{-1} S12 = X21^T
+    is not formed, and S12 = -X12 F^{-1} = S21^T is mirrored, not
+    multiplied.
     """
     kind = m.btree.kind((t, t))
     if kind == cl.INADMISSIBLE:
@@ -520,7 +520,7 @@ def _invert_rec(m, t, symmetric):
                 f"diagonal leaf of cluster {t} is singular: {exc}", t
             ) from exc
         if symmetric:
-            average_mirrors(d, d)
+            _mirror_subtree(m, t, t)
         return
     lo, hi = m.tree.cluster(t).children()
     _invert_rec(m, lo, symmetric)  # S11 <- S11^{-1}
@@ -529,9 +529,7 @@ def _invert_rec(m, t, symmetric):
     if not symmetric:
         x12 = _fresh_block(m, lo, hi)
         _mul_into(x12, m, m, lo, lo, hi, 1)  # X12 = S11^{-1} S12
-    _mul_into(m, x21, m, hi, lo, hi, -1, symmetric)  # S22 <- S22 - X21 S12
-    if symmetric:
-        _mirror_subtree(m, hi, hi)  # F = F^T bit for bit
+    _mul_into(m, x21, m, hi, lo, hi, -1, symmetric)  # S22 <- F = S22 - X21 S12
     _invert_rec(m, hi, symmetric)  # S22 <- F^{-1}
     _zero_subtree(m, hi, lo)
     _mul_into(m, m, x21, hi, hi, lo, -1)  # S21 <- -F^{-1} X21
@@ -541,8 +539,6 @@ def _invert_rec(m, t, symmetric):
         _zero_subtree(m, lo, hi)
         _mul_into(m, x12, m, lo, hi, hi, -1)  # S12 <- -X12 F^{-1}
     _mul_into(m, m, x21, lo, hi, lo, -1, symmetric)  # S11 <- S11^{-1} - S12 X21
-    if symmetric:
-        _mirror_subtree(m, lo, lo)  # S11 = S11^T bit for bit
 
 
 def h2_invert(m):

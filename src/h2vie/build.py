@@ -480,6 +480,7 @@ def build_h2(geom, kparams, cparams=None, n_min=32, eta=1.0):
     abs_map = build_all_cluster_ab(tree, btree, oracle, cparams)
     basis = build_bases(tree, abs_map, cparams)
     coupling = build_coupling(btree, abs_map, basis, tree)
+    del abs_map  # freed before the near-field rows are allocated: a lower peak
     dense = _near_field(tree, btree, oracle)
     return H2Matrix(tree, btree, basis, coupling, dense, cparams)
 
@@ -521,6 +522,6 @@ def rep_error(h2, dense):
     dense = np.asarray(dense)
     if dense.shape != h2.shape:
         raise ValueError("shape mismatch")
-    return float(
-        np.linalg.norm(dense - materialize(h2)) / np.linalg.norm(dense)
-    )
+    diff = materialize(h2)
+    diff -= dense  # in place: one N x N array besides dense, and |diff| is unchanged
+    return float(np.linalg.norm(diff) / np.linalg.norm(dense))

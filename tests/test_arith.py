@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from h2vie import bench, build, clustering as cl, kernel
+from h2vie import bench, build, kernel
 from h2vie.arith import (
     SingularLeafError,
     _invert_rec,
@@ -374,11 +374,8 @@ class TestInverse:
 
 def _mirrored_pairs(m, t, s):
     """(block, mirror) for every leaf under (t, s) of m, mirror under (s, t)."""
-    out = []
-    for (a, b), kind in _subtree_leaves(m, t, s):
-        blocks = m.coupling if kind == cl.ADMISSIBLE else m.dense
-        out.append((blocks[(a, b)], blocks[(b, a)]))
-    return out
+    return [(payloads[(a, b)], payloads[(b, a)])
+            for (a, b), payloads in _subtree_leaves(m, t, s)]
 
 
 class TestSymmetry:
@@ -416,6 +413,18 @@ class TestSymmetry:
             assert any(t > r for _, _, t, r in full)
             assert upper == [c for c in full if c[2] <= c[3]]
 
+    def test_upper_product_leaves_its_block_symmetric(self, rod164, cube3):
+        # S22 -= S21 S12 at the root, one product run with `upper`, leaves
+        # its lower target leaves mirrored without help from its caller
+        for _, _, h2, _ in (rod164, cube3):
+            m = h2.copy()
+            lo, hi = m.tree.cluster(m.tree.root).children()
+            _mul_into(m, h2, h2, hi, lo, hi, -1, upper=True)
+            pairs = _mirrored_pairs(m, hi, hi)
+            assert any(p is not q for p, q in pairs)
+            for p, q in pairs:
+                assert np.array_equal(p, q.T)
+
     def test_symmetric_inverse_as_accurate_as_general(self, rod164, cube3, slab35, cube533):
         for _, _, h2, _ in (rod164, cube3, slab35, cube533):
             general = h2.copy()
@@ -430,8 +439,8 @@ class TestSymmetry:
         _, _, h2, _ = rod164
         m = h2.copy()
         lo, hi = m.tree.cluster(m.tree.root).children()
-        key = max((key for key, kind in _subtree_leaves(m, lo, hi)
-                   if kind == cl.ADMISSIBLE), key=lambda k: m.coupling[k].size)
+        key = max((key for key, payloads in _subtree_leaves(m, lo, hi)
+                   if payloads is m.coupling), key=lambda k: m.coupling[k].size)
         m.coupling[key][0, 0] += 1e-2 * np.abs(m.coupling[key]).max()
         inv = h2_invert(m)
         # the general recursion forms S12 itself instead of mirroring S21

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -370,6 +373,33 @@ class TestBuildH2:
             geom, kernel.KernelParams(k0=K0, eps_r=np.full(geom.n, 2.54 - 0.1j)),
             params, n_min=8)
         assert np.array_equal(build.materialize(h2_arr), build.materialize(h2))
+
+    def test_stage_one_factors_freed_before_near_field(self, monkeypatch):
+        # the near-field rows are allocated while nothing holds the Stage I
+        # factors any more, which lowers the build's peak memory
+        class Factors(dict):
+            pass  # a plain dict takes no weak reference
+
+        refs = []
+        alive = []
+        stage_one = build.build_all_cluster_ab
+        near_field = build._near_field
+
+        def tracked_stage_one(*args):
+            out = Factors(stage_one(*args))
+            refs.append(weakref.ref(out))
+            return out
+
+        def probed_near_field(*args):
+            gc.collect()
+            alive.append(refs[0]() is not None)
+            return near_field(*args)
+
+        monkeypatch.setattr(build, "build_all_cluster_ab", tracked_stage_one)
+        monkeypatch.setattr(build, "_near_field", probed_near_field)
+        geom = kernel.generate_geometry("rod", [6.4], 10, K0)
+        build.build_h2(geom, kernel.KernelParams(k0=K0), CompressionParams(1e-4, 1e-4), n_min=8)
+        assert alive == [False]
 
     def test_rep_error_shape_guard(self, rod164):
         _, _, h2, _ = rod164
