@@ -7,8 +7,9 @@ sweep pushes the result down to the leaves, and one product per block row
 adds the near field.
 Formatted addition and multiplication keep the block structure and cluster
 bases of the operands fixed, projecting whatever falls outside them; the
-recursive inverse is built from those two operations and dense leaf
-inverses, and returns a matrix with the same structure as its input.
+recursive inverse is built from formatted products, subtree zeroing and
+mirroring, and dense leaf inverses, and returns a matrix with the same
+structure as its input.
 If the input is complex symmetric bit for bit (every block equals its
 mirror's transpose, as build_h2's operators are), the inverse runs a
 symmetric recursion with one rule for every symmetric block it writes:

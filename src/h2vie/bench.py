@@ -113,11 +113,11 @@ def median_time(fn, repeats=5, min_time=1e-3):
 
 
 def _geometry_extent(cfg, size):
-    if cfg.shape == "rod":
-        return [size]
-    if cfg.shape == "slab":
-        return [size, size]
-    return [size, size, size]  # cube_array: per-axis cube counts
+    """One sweep size as the shape's extent: each entry equal to size.
+
+    An unknown shape gets one entry, so that generate_geometry names it.
+    """
+    return [size] * kernel.SHAPES.get(cfg.shape, 1)
 
 
 def _build(cfg, extent):
@@ -238,14 +238,14 @@ def _fit_slope(ns, ys):
     ns = np.asarray(ns, float)
     ys = np.asarray(ys, float)
     good = ys > 0
-    if good.sum() < 2:
+    if np.unique(ns[good]).size < 2:  # no spread in N: no slope to fit
         return None
     return float(np.polyfit(np.log(ns[good]), np.log(ys[good]), 1)[0])
 
 
 def run_scaling_study(cfg):
     """Build/matvec/solve/inverse timings across >= 3 sizes plus fitted slopes."""
-    if len(cfg.sweep) < 3:
+    if len(set(cfg.sweep)) < 3:
         raise ValueError("scaling study needs at least 3 sizes to fit slopes")
     # one untimed build, matvec and inverse at the smallest size, so that
     # lazy set-up is not charged to the first timed size

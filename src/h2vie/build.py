@@ -369,7 +369,7 @@ def build_all_cluster_ab(tree, btree, oracle, params):
 
             try:
                 f = aca_factorize(block, (rows.size, cols.size), params.eps_aca,
-                                  min(params.max_rank, rows.size, cols.size))
+                                  params.max_rank)
             except AcaRankExceeded as exc:
                 raise ClusterCompressionError(
                     f"cluster {c.id}: {exc}", c.id
@@ -466,15 +466,16 @@ def build_h2(geom, kparams, cparams=None, n_min=32, eta=1.0):
     """Assemble the full nested representation of the system matrix.
 
     Raises ValueError naming the first voxel whose eps_r differs from
-    voxel 0's: the shared bases hold for a uniform contrast only.
+    voxel 0's: the shared bases hold for a uniform contrast only. A
+    per-voxel eps_r of the wrong length is refused first, by the oracle.
     """
+    oracle = kn.entry_oracle(geom, kparams)  # checks a per-voxel eps_r's length
     eps_r = np.ravel(kparams.eps_r)
     odd = np.flatnonzero(eps_r != eps_r[0])
     if odd.size:
         raise ValueError(f"build_h2 needs a uniform eps_r: voxel {odd[0]} has "
                          f"{eps_r[odd[0]]}, voxel 0 has {eps_r[0]}")
     cparams = cparams or CompressionParams()
-    oracle = kn.entry_oracle(geom, kparams)
     tree = cl.ClusterTree(geom.centers, n_min)
     btree = cl.build_block_tree(tree, eta)
     abs_map = build_all_cluster_ab(tree, btree, oracle, cparams)

@@ -37,7 +37,8 @@ class DenseCapExceeded(RuntimeError):
     pass
 
 
-SHAPES = ("rod", "slab", "cube_array")
+# extent entries per shape: rod (length,), slab (Lx, Ly), cube_array (ax, ay, az)
+SHAPES = {"rod": 1, "slab": 2, "cube_array": 3}
 
 
 @dataclass
@@ -105,14 +106,13 @@ def lattice_centers(nx, ny, nz, h, origin=(0.0, 0.0, 0.0)):
 def generate_geometry(shape_tag, extent, voxels_per_wavelength, k0):
     """Voxelize one of the benchmark shapes.
 
-    extent is interpreted per shape: rod -> (length,) in wavelengths with a
-    fixed 0.1-wavelength square cross-section; slab -> (Lx, Ly) in
-    wavelengths with fixed 0.1-wavelength thickness; cube_array -> (ax, ay,
-    az) integer counts of 0.3-wavelength cubes separated by 0.3-wavelength
-    gaps.
+    extent holds exactly SHAPES[shape_tag] entries. Rod (length,) and slab
+    (Lx, Ly) are lattices with those edges in wavelengths, 0.1 wavelength
+    thick along the remaining axes; cube_array (ax, ay, az) holds integer
+    counts of 0.3-wavelength cubes separated by 0.3-wavelength gaps.
     """
     if shape_tag not in SHAPES:
-        raise ValueError(f"unknown shape {shape_tag!r}; expected one of {SHAPES}")
+        raise ValueError(f"unknown shape {shape_tag!r}; expected one of {list(SHAPES)}")
     if k0 <= 0:
         raise ValueError("geometry generation needs k0 > 0")
     vpw = int(voxels_per_wavelength)
@@ -121,31 +121,15 @@ def generate_geometry(shape_tag, extent, voxels_per_wavelength, k0):
     extent = np.atleast_1d(np.asarray(extent, dtype=np.float64))
     if extent.size == 0 or not np.all(np.isfinite(extent)):
         raise ValueError(f"extents must be non-empty and finite, got {extent.tolist()}")
+    if extent.size != SHAPES[shape_tag]:
+        raise ValueError(f"{shape_tag} needs an extent of length {SHAPES[shape_tag]}, "
+                         f"got {extent.tolist()}")
     if np.any(extent <= 0):
         raise ValueError("extents must be positive")
     lam = 2.0 * np.pi / k0
     h = lam / vpw
 
-    if shape_tag == "rod":
-        n_len = int(round(extent[0] * vpw))
-        n_cross = max(1, int(round(vpw / 10.0)))
-        if n_len < 1:
-            raise ValueError("rod produced zero voxels")
-        centers = lattice_centers(n_len, n_cross, n_cross, h)
-        dims = (n_len, n_cross, n_cross)
-    elif shape_tag == "slab":
-        if extent.size < 2:
-            raise ValueError("slab extent needs (Lx, Ly)")
-        nx = int(round(extent[0] * vpw))
-        ny = int(round(extent[1] * vpw))
-        nz = max(1, int(round(vpw / 10.0)))
-        if nx < 1 or ny < 1:
-            raise ValueError("slab produced zero voxels")
-        centers = lattice_centers(nx, ny, nz, h)
-        dims = (nx, ny, nz)
-    else:  # cube_array
-        if extent.size < 3:
-            raise ValueError("cube_array extent needs (ax, ay, az) cube counts")
+    if shape_tag == "cube_array":
         counts = extent.astype(int)
         if np.any(counts != extent):
             raise ValueError("cube_array counts must be integers")
@@ -161,6 +145,12 @@ def generate_geometry(shape_tag, extent, voxels_per_wavelength, k0):
                     blocks.append(lattice_centers(m, m, m, h, origin))
         centers = np.concatenate(blocks, axis=0)
         dims = tuple(int(c) for c in counts) + (m,)
+    else:  # rod, slab: edges in voxels, padded with the 0.1-wavelength thickness
+        thick = max(1, int(round(vpw / 10.0)))
+        dims = tuple(int(round(e * vpw)) for e in extent) + (thick,) * (3 - extent.size)
+        if min(dims) < 1:
+            raise ValueError(f"{shape_tag} produced zero voxels")
+        centers = lattice_centers(*dims, h)
 
     return VoxelGeometry(centers, float(h**3), shape_tag, dims)
 

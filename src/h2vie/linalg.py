@@ -94,7 +94,9 @@ def aca_factorize(oracle, shape, eps_aca, max_rank=None):
     single columns are requested. Stops once the latest cross satisfies
     ||a_k|| * ||b_k|| <= eps_aca * ||M_k||_F (incremental Frobenius estimate);
     the terminating cross is not appended, so an exactly rank-r block comes
-    back with rank r.
+    back with rank r. Pivot rows start at row 0; each next one is the largest
+    unused entry of the latest column, and a row whose residual is zero, or
+    a column with no unused entry left, moves on to the first unused row.
 
     The crosses live in preallocated (m, cap) and (n, cap) arrays, so each
     residual row or column is one GEMV against the factors so far and the
@@ -121,25 +123,21 @@ def aca_factorize(oracle, shape, eps_aca, max_rank=None):
     used_rows = np.zeros(m, dtype=bool)
     used_cols = np.zeros(n, dtype=bool)
     fro2 = 0.0  # running ||M_k||_F^2 estimate
-    next_row = 0
 
-    while True:
+    def first_unused_row():
+        free = np.flatnonzero(~used_rows)
+        return int(free[0]) if free.size else None
+
+    i = 0  # pivot row; None once every row is used
+    while i is not None:
         a, b = a_buf[:, :k], b_buf[:, :k]
-        # residual row at the pivot row; skip rows that are already resolved
-        row = None
-        while next_row is not None:
-            i = next_row
-            used_rows[i] = True
-            r = np.asarray(oracle(np.array([i]), all_cols), dtype=np.complex128).ravel()
-            r -= b @ a[i]
-            r[used_cols] = 0.0
-            if np.any(r != 0.0):
-                row = r
-                break
-            free = np.flatnonzero(~used_rows)
-            next_row = int(free[0]) if free.size else None
-        if row is None:
-            break  # no pivot left anywhere: block fully resolved
+        used_rows[i] = True
+        row = np.asarray(oracle(np.array([i]), all_cols), dtype=np.complex128).ravel()
+        row -= b @ a[i]
+        row[used_cols] = 0.0
+        if not row.any():
+            i = first_unused_row()  # row already resolved: try the next one
+            continue
 
         j = int(np.argmax(np.abs(row)))
         pivot = row[j]
@@ -174,12 +172,9 @@ def aca_factorize(oracle, shape, eps_aca, max_rank=None):
                 f"ACA stalled at rank cap {cap} (block {m}x{n})", partial
             )
 
+        # next pivot: the largest unused entry of the new column
         masked = np.where(used_rows, 0.0, np.abs(a_new))
-        if np.any(masked != 0.0):
-            next_row = int(np.argmax(masked))
-        else:
-            free = np.flatnonzero(~used_rows)
-            next_row = int(free[0]) if free.size else None
+        i = int(np.argmax(masked)) if masked.any() else first_unused_row()
 
     return LowRankFactor(a_buf[:, :k].copy(), b_buf[:, :k].copy())
 

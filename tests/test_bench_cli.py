@@ -138,6 +138,16 @@ class TestRunners:
         with pytest.raises(ValueError):
             bench.run_scaling_study(cfg)
 
+    def test_scaling_study_needs_three_distinct_sizes(self, tmp_path):
+        cfg = ExperimentConfig(sweep=[4.0, 4.0, 4.0], out=str(tmp_path / "s.csv"))
+        with pytest.raises(ValueError, match="at least 3 sizes"):
+            bench.run_scaling_study(cfg)
+
+    def test_no_slope_without_spread_in_n(self):
+        assert bench._fit_slope([40, 40, 40], [1.0, 2.0, 3.0]) is None
+        # the zero timing is dropped first, which leaves one N
+        assert bench._fit_slope([40, 80, 80], [0.0, 2.0, 3.0]) is None
+
     def test_rank_study_rows_match_geometry(self, tmp_path):
         cfg = ExperimentConfig(
             sweep=[1.0, 2.0], vpw=10, n_min=8, svd_dim=0,
@@ -268,22 +278,42 @@ class TestCli:
         assert rc == 1
         assert "n_min must be >= 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("setting,message", [
+    @pytest.mark.parametrize("settings,message", [
         ("eta=nan", "eta must be positive and finite"),
         ("eta=inf", "eta must be positive and finite"),
         ("extent=", "extents must be non-empty and finite"),
         ("extent=inf", "extents must be non-empty and finite"),
-    ], ids=["eta-nan", "eta-inf", "extent-empty", "extent-inf"])
-    def test_malformed_setting_exit_code(self, tmp_path, capsys, setting, message):
+        ("shape=rod extent=2,5", "rod needs an extent of length 1, got [2.0, 5.0]"),
+    ], ids=["eta-nan", "eta-inf", "extent-empty", "extent-inf", "extent-rod-long"])
+    def test_malformed_setting_exit_code(self, tmp_path, capsys, settings, message):
         rc = main([
             "solve",
             "--set", "shape=slab", "--set", "extent=2,2", "--set", "n_min=16",
-            "--set", "solver=iterative", "--set", setting,
+            "--set", "solver=iterative",
+            *[arg for setting in settings.split() for arg in ("--set", setting)],
             "--set", f"out={tmp_path/'s.csv'}",
             "--set", f"solution_out={tmp_path/'sol.txt'}",
         ])
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
+
+    def test_repeated_sweep_size_exit_code(self, tmp_path, capsys):
+        rc = main([
+            "scaling-study", "--set", "sweep=4,4,4", "--set", "n_min=8",
+            "--set", "dense_cap=0", "--set", f"out={tmp_path/'s.csv'}",
+        ])
+        assert rc == 1
+        assert "error: scaling study needs at least 3 sizes" in capsys.readouterr().err
+
+    def test_sweep_of_one_n_prints_no_slopes(self, tmp_path, capsys):
+        # 4, 4.02 and 4.04 wavelengths all round to N = 40 voxels
+        rc = main([
+            "scaling-study", "--set", "sweep=4,4.02,4.04", "--set", "n_min=8",
+            "--set", "dense_cap=0", "--set", f"out={tmp_path/'s.csv'}",
+        ])
+        assert rc == 0
+        assert ("slopes: build=n/a matvec=n/a inverse=n/a solve=n/a memory=n/a"
+                in capsys.readouterr().out)
 
     def test_empty_sweep_exit_code(self, tmp_path, capsys):
         rc = main([

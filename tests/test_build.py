@@ -364,6 +364,13 @@ class TestBuildH2:
             build.build_h2(geom, kernel.KernelParams(k0=K0, eps_r=eps),
                            CompressionParams(1e-4, 1e-4), n_min=8)
 
+    @pytest.mark.parametrize("size", [0, 3], ids=["empty", "short"])
+    def test_per_voxel_eps_r_of_wrong_length_is_named(self, size):
+        geom = kernel.generate_geometry("rod", [1.0], 10, K0)
+        with pytest.raises(ValueError, match="per-voxel eps_r has wrong length"):
+            build.build_h2(geom, kernel.KernelParams(k0=K0, eps_r=np.full(size, 2.54)),
+                           CompressionParams(1e-4, 1e-4), n_min=8)
+
     def test_uniform_eps_r_array_equals_scalar(self):
         geom = kernel.generate_geometry("rod", [3.2], 10, K0)
         params = CompressionParams(1e-4, 1e-4)

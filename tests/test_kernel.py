@@ -40,11 +40,19 @@ class TestGeometry:
         with pytest.raises(ValueError):
             kernel.generate_geometry("rod", [0.01], 10, K0)
 
-    @pytest.mark.parametrize("extent", [[], [np.inf], [np.nan]],
-                             ids=["empty", "inf", "nan"])
-    def test_malformed_extent_rejected(self, extent):
-        with pytest.raises(ValueError, match="extents must be non-empty and finite"):
-            kernel.generate_geometry("rod", extent, 10, K0)
+    @pytest.mark.parametrize("shape, extent, message", [
+        ("rod", [], "extents must be non-empty and finite"),
+        ("rod", [np.inf], "extents must be non-empty and finite"),
+        ("rod", [np.nan], "extents must be non-empty and finite"),
+        ("rod", [2, 5], r"rod needs an extent of length 1, got \[2.0, 5.0\]"),
+        ("slab", [1, 1, 7], r"slab needs an extent of length 2, got \[1.0, 1.0, 7.0\]"),
+        ("slab", [2], r"slab needs an extent of length 2, got \[2.0\]"),
+        ("cube_array", [1, 1, 1, 9], "cube_array needs an extent of length 3"),
+        ("cube_array", [1, 1], "cube_array needs an extent of length 3"),
+    ], ids=["empty", "inf", "nan", "rod-2", "slab-3", "slab-1", "cube-4", "cube-2"])
+    def test_malformed_extent_rejected(self, shape, extent, message):
+        with pytest.raises(ValueError, match=message):
+            kernel.generate_geometry(shape, extent, 10, K0)
 
     def test_coarse_discretization_rejected(self):
         with pytest.raises(ValueError):
