@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg.blas import zgemm
 
 from . import clustering as cl
-from .build import H2Matrix, average_mirrors
+from .build import H2Matrix
 from .linalg import SingularMatrixError, dense_lu_invert
 
 
@@ -477,6 +477,11 @@ def _zero_subtree(m, t, s):
         payloads[key][:] = 0
 
 
+def _symmetrize(p):
+    """p <- (p + p^T) / 2 in place; addition commutes, so p = p^T bit for bit."""
+    p[...] = 0.5 * (p + p.T)
+
+
 def _mirror_subtree(m, t, s):
     """Write each leaf under (t, s) of m into its mirror's place, transposed.
 
@@ -487,7 +492,7 @@ def _mirror_subtree(m, t, s):
     """
     for (a, b), payloads in _subtree_leaves(m, t, s, upper=t == s):
         if a == b:
-            average_mirrors(payloads[(a, b)], payloads[(a, b)])
+            _symmetrize(payloads[(a, b)])
         else:
             payloads[(b, a)][...] = payloads[(a, b)].T
 

@@ -1,28 +1,33 @@
 """Two-stage construction of the nested low-rank matrix representation.
 
+With a uniform contrast the VIE matrix is complex symmetric, S = S^T
+(reciprocity), so the build samples and compresses one side of it only.
 Stage I compresses, for every cluster t, the horizontal concatenation
-M_t = [S_{t,s1} | S_{t,s2} | ...] of all admissible blocks it owns into one
-plain low-rank factor A_t @ B_t.T whose B_t has orthonormal columns
-(sampled whole and truncated by one SVD on leaves, cross approximation
-followed by an SVD trim above them). Stage II turns those factors into one
-shared family of orthonormal cluster bases by one bottom-up rule: the
-stacked rows [A_j|c] of each cluster's own and its ancestors' grouped blocks
-(B_j is orthonormal, so they carry the blocks' row space) are truncated by
-the same SVD rule, giving a leaf basis or two transfer matrices. Above the
-leaves those rows come projected onto the children's bases, as the
-coefficients s_k Vh_k that each child's SVD hands to its parent. Each
-admissible block then reduces to a small coupling matrix between two
-bases; inadmissible leaf blocks stay dense. Every rank in the build is
-chosen by linalg.truncated_svd.
+M_t = [S_{t,s1} | S_{t,s2} | ...] of the admissible blocks of its upper
+partners (s > t) into one plain low-rank factor A_t @ B_t.T whose B_t has
+orthonormal columns (sampled whole and truncated by one SVD on leaves,
+cross approximation followed by an SVD trim above them). Each lower block
+is the transpose of an upper one, S_{t,s} = S_{s,t}^T = B_s|t A_s^T, and
+with A_s = W_s Sigma_s (W_s orthonormal) its rows are carried by the
+mirrored column factor B_s|t Sigma_s. Stage II turns those factors into
+one shared family of orthonormal cluster bases by one bottom-up rule: the
+stacked rows of each cluster's own and its ancestors' full grouped blocks,
+[A_j|c, B_s|j Sigma_s restricted to c, ...], are truncated by the same SVD
+rule, giving a leaf basis or two transfer matrices. Above the leaves those
+rows come projected onto the children's bases, as the coefficients
+s_k Vh_k that each child's SVD hands to its parent. Each admissible block
+then reduces to a small coupling matrix between two bases; inadmissible
+leaf blocks stay dense. Every rank in the build is chosen by
+linalg.truncated_svd.
 
 The shared form V_t S_{t,s} V_s^T needs the columns of S_{t,s}, that is
 the rows of S_{s,t}^T = diag(chi_s) K_{s,t}, to lie in span(V_s). Only a
 uniform contrast chi gives that, so build_h2 refuses a per-voxel eps_r
-that is not uniform. With a uniform contrast the matrix is complex
-symmetric, S = S^T. The near field is sampled entry by entry from a
-symmetric kernel and is symmetric bit for bit; build_coupling replaces
-each mirrored coupling pair by its average, so S_{s,t} = S_{t,s}^T holds
-bit for bit too and the whole representation is exactly symmetric.
+that is not uniform. build_coupling forms the upper couplings and writes
+each lower one as its mirror's transpose, and the near field samples the
+upper dense blocks and transposes them into the lower ones, so the whole
+representation is symmetric bit for bit. The kernel is symmetric bit for
+bit too, so each dense block still equals its own oracle sample.
 
 The resulting H2Matrix is immutable in spirit: arithmetic lives in
 h2vie.arith and mutates explicit copies only. Its payloads are stored per
@@ -332,28 +337,48 @@ class H2Matrix:
         return total
 
 
+@dataclass
+class GroupedFactor(LowRankFactor):
+    """Stage I factor A_t @ B_t.T of cluster t's upper grouped block.
+
+    parts maps each upper partner s > t, in btree.partners order, to B_t|s:
+    the view of the #s rows of b that belong to s.
+    """
+
+    parts: dict = field(default_factory=dict)
+
+
+def _grouped(f, upper, tree):
+    """f as a GroupedFactor whose b rows come partner by partner."""
+    edges = np.cumsum([0, *(tree.cluster(s).size for s in upper)])
+    return GroupedFactor(f.a, f.b, {s: f.b[lo:hi]
+                                    for s, lo, hi in zip(upper, edges, edges[1:])})
+
+
 def build_all_cluster_ab(tree, btree, oracle, params):
-    """Stage I: one LowRankFactor A_t @ B_t.T of M_t per cluster t.
+    """Stage I: one GroupedFactor A_t @ B_t.T of M_t per cluster t.
 
     The grouped block of cluster t is M_t = [S_{t,s1} | S_{t,s2} | ...]
-    over its admissible partners in btree.partners order, so B_t's rows
-    come partner by partner, #s_j rows each. A leaf has at most n_min rows,
-    so M_t is sampled whole in one oracle call and truncated by
-    linalg.truncated_svd at 0.75 * eps_acc (A_t = U_k Sigma_k, B_t =
-    Vh_k^T). A non-leaf M_t is too large to sample: it is
-    cross-approximated from single rows and columns (aca_factorize) and
-    trimmed by recompress_lowrank. Both give a B_t with orthonormal
-    columns. A cluster without partners gets a rank-0
-    factor. A rank over params.max_rank raises ClusterCompressionError.
+    over its upper admissible partners s > t (a suffix of
+    btree.partners[t]), so each admissible pair is compressed once, by its
+    lower cluster id; the lower blocks are their transposes (S = S^T). A
+    leaf has at most n_min rows, so M_t is sampled whole in one oracle
+    call and truncated by linalg.truncated_svd at 0.75 * eps_acc
+    (A_t = U_k Sigma_k, B_t = Vh_k^T). A non-leaf M_t is too large to
+    sample: it is cross-approximated from single rows and columns
+    (aca_factorize) and trimmed by recompress_lowrank. Both give a B_t with
+    orthonormal columns and an A_t with orthogonal columns. A cluster
+    without upper partners gets a rank-0 factor. A rank over
+    params.max_rank raises ClusterCompressionError.
     """
     out = {}
     for c in tree.clusters:
-        partners = btree.partners.get(c.id, [])
+        upper = [s for s in btree.partners.get(c.id, []) if s > c.id]
         rows = tree.indices(c.id)
-        if not partners:
-            out[c.id] = empty_factor(c.size, 0)
+        if not upper:
+            out[c.id] = _grouped(empty_factor(c.size, 0), upper, tree)
             continue
-        cols = np.concatenate([tree.indices(s) for s in partners])
+        cols = np.concatenate([tree.indices(s) for s in upper])
 
         if c.is_leaf:
             u, s, vh = truncated_svd(oracle(rows, cols), TRUNC_SAFETY * params.eps_acc)
@@ -375,35 +400,55 @@ def build_all_cluster_ab(tree, btree, oracle, params):
                     f"cluster {c.id}: {exc}", c.id
                 ) from exc
             f = recompress_lowrank(f, params.eps_acc)
-        out[c.id] = f
+        out[c.id] = _grouped(f, upper, tree)
+    return out
+
+
+def _row_factors(abs_map):
+    """cid -> column blocks whose span is that of the cluster's full grouped block.
+
+    Cluster j's upper blocks are A_j B_j^T, and B_j is orthonormal, so A_j
+    carries their rows. A lower block S_{j,s} = B_s|j A_s^T with
+    A_s = W_s Sigma_s and W_s orthonormal is carried by B_s|j Sigma_s; the
+    singular values Sigma_s are the column norms of A_s.
+    """
+    out = {j: [f.a] for j, f in abs_map.items()}
+    for f in abs_map.values():
+        sigma = np.linalg.norm(f.a, axis=0)
+        for j, b in f.parts.items():
+            out[j].append(b * sigma)
     return out
 
 
 def build_bases(tree, abs_map, params):
     """Stage II: one bottom-up sweep with one SVD rule for every cluster.
 
-    X_c stacks, over j in {c} + ancestors(c), c's share of the grouped block
-    M_j = A_j B_j^T: B_j has orthonormal columns, so X_j = A_j|c carries
-    the left singular vectors and values of c's rows of M_j. A leaf stacks
-    [A_c|c | A_p|c | ...] directly. The truncated_svd X_c ~= U_k s_k Vh_k at
-    eps_acc gives the leaf basis or the stacked transfers [T_lo; T_hi] as
-    U_k, and s_k Vh_k = U_k^H X_c is c's coefficient block
-    [V_c^H A_c|c | V_c^H A_p|c | ...]. A non-leaf therefore stacks its two
-    children's coefficient blocks less the columns of the children's own
-    factors: each ancestor's factor is projected once, by the SVDs on the
-    way up, and never again from the leaves. A zero or empty X_c gives an
-    empty basis of the right shape. Every cluster gets a basis.
+    X_c stacks, over j in {c} + ancestors(c), c's rows of the row factors
+    of j's full grouped block: [A_j|c, B_s|j Sigma_s restricted to c, ...]
+    over j's lower partners s (see _row_factors). These carry the left
+    singular vectors and values of c's rows of that block. A leaf stacks
+    them directly. The truncated_svd X_c ~= U_k s_k Vh_k at eps_acc gives
+    the leaf basis or the stacked transfers [T_lo; T_hi] as U_k, and
+    s_k Vh_k = U_k^H X_c is c's coefficient block. A non-leaf therefore
+    stacks its two children's coefficient blocks less the columns of the
+    children's own row factors: each ancestor's factor is projected once,
+    by the SVDs on the way up, and never again from the leaves. A zero or
+    empty X_c gives an empty basis of the right shape. Every cluster gets
+    a basis.
     """
+    row_factors = _row_factors(abs_map)
+    widths = {j: sum(p.shape[1] for p in parts) for j, parts in row_factors.items()}
     basis = NestedBasis(tree)
     coeffs = {}  # cid -> s_k Vh_k, until its parent takes it
     for level in reversed(tree.levels):
         for cid in level:
             c = tree.cluster(cid)
             if c.is_leaf:
-                x = np.hstack([abs_map[j].a[c.start - tree.cluster(j).start:][:c.size]
-                               for j in [cid, *tree.ancestors(cid)]])
+                x = np.hstack([p[c.start - tree.cluster(j).start:][:c.size]
+                               for j in [cid, *tree.ancestors(cid)]
+                               for p in row_factors[j]])
             else:
-                x = np.vstack([coeffs.pop(k)[:, abs_map[k].rank:] for k in c.children()])
+                x = np.vstack([coeffs.pop(k)[:, widths[k]:] for k in c.children()])
             u, s, vh = truncated_svd(x, params.eps_acc)
             basis.set_basis(cid, u)
             coeffs[cid] = s[:, None] * vh
@@ -413,53 +458,37 @@ def build_bases(tree, abs_map, params):
 def build_coupling(btree, abs_map, basis, tree):
     """Coupling matrix of every admissible leaf from the Stage-I factors.
 
-    S_{t,s} = (V_t^H A_t) (V_s^H B_t|s)^T, with V_t^H A_t computed once per
-    target and B_t|s the #s rows of B_t that belong to partner s; the
-    tree's cluster sizes give their spans. The B_t|s of every target t
-    that has s as a partner are stacked side by side and projected by one
-    V_s^H per source cluster s. Each S_{t,s} is written into its view of
-    one row [S_{t,s1} | ...] per target, which H2Matrix keeps as that
-    block row's buffer. Keys come in btree.admissible order, which fixes
-    the summation order of each row.
-
-    The uniform-contrast VIE matrix is complex symmetric (reciprocity), but
-    S_{t,s} and S_{s,t} come from two different cross approximations and
-    differ at the ACA level. Each mirrored pair is therefore replaced by
-    its average in place, S_{t,s} <- (S_{t,s} + S_{s,t}^T) / 2 and S_{s,t}
-    <- S_{t,s}^T, so the couplings are symmetric bit for bit (which
-    arith.h2_invert exploits) and no pair's Frobenius error rises.
+    For an upper pair (t, s > t), S_{t,s} = (V_t^H A_t) (V_s^H B_t|s)^T,
+    with V_t^H A_t computed once per target and B_t|s the part of B_t that
+    belongs to s. The B_t|s of every t below s are stacked side by side
+    and projected by one V_s^H per source cluster s. The mirror is written
+    as S_{s,t} = S_{t,s}^T, so the couplings are symmetric bit for bit
+    (which arith.h2_invert exploits). Each S_{t,s} is written into its
+    view of one row [S_{t,s1} | ...] per target, which H2Matrix keeps as
+    that block row's buffer. Keys come in btree.admissible order, which
+    fixes the summation order of each row. tree goes unused: each factor
+    names its own partners and their rows.
     """
     coupling = {}
-    proj_a = {}
-    by_source = {}  # s -> [(t, B_t|s), ...]
     for t, partners in sorted(btree.partners.items()):
-        f = abs_map[t]
-        proj_a[t] = basis.apply_vh(t, f.a)
         widths = [basis.rank(s) for s in partners]
         row = np.empty((basis.rank(t), sum(widths)), dtype=np.complex128)
         coupling.update(zip([(t, s) for s in partners], _column_views(row, widths)))
-        sizes = [tree.cluster(s).size for s in partners]
-        for s, b_s in zip(partners, np.split(f.b, np.cumsum(sizes[:-1]))):
+    proj_a = {}
+    by_source = {}  # s -> [(t, B_t|s), ...]
+    for t, f in abs_map.items():
+        if f.parts:
+            proj_a[t] = basis.apply_vh(t, f.a)
+        for s, b_s in f.parts.items():
             by_source.setdefault(s, []).append((t, b_s))
     for s, blocks in by_source.items():
         vb = basis.apply_vh(s, np.hstack([b_s for _, b_s in blocks]))
         vb_ts = _column_views(vb, [b_s.shape[1] for _, b_s in blocks])
         for (t, _), vb_t in zip(blocks, vb_ts):
-            np.matmul(proj_a[t], vb_t.T, out=coupling[(t, s)])
-    for (t, s), s_ts in coupling.items():
-        if t < s:
-            average_mirrors(s_ts, coupling[(s, t)])
+            s_ts = coupling[(t, s)]
+            np.matmul(proj_a[t], vb_t.T, out=s_ts)
+            coupling[(s, t)][...] = s_ts.T
     return coupling
-
-
-def average_mirrors(p, q):
-    """p <- (p + q^T) / 2 and q <- p^T in place, so q = p^T bit for bit.
-
-    p and q are a block and its mirror; p may be q (a diagonal block).
-    """
-    avg = 0.5 * (p + q.T)
-    p[...] = avg
-    q[...] = avg.T
 
 
 def build_h2(geom, kparams, cparams=None, n_min=32, eta=1.0):
@@ -487,21 +516,30 @@ def build_h2(geom, kparams, cparams=None, n_min=32, eta=1.0):
 
 
 def _near_field(tree, btree, oracle):
-    """Dense inadmissible leaves, sampled one block row per oracle call.
+    """Dense inadmissible leaves, one oracle call per block row's upper part.
 
     Returns (t, s) -> (#t, #s) views into the row [S_{t,s1} | S_{t,s2} | ...],
-    keyed in btree.inadmissible order. The oracle computes every entry on
-    its own, so each view equals oracle(indices(t), indices(s)) bit for bit.
+    keyed in btree.inadmissible order. Row t samples its sources s >= t in
+    one call and each (s, t) view is written as the transpose of (t, s).
+    The oracle computes every entry on its own from a symmetric kernel, so
+    each view equals oracle(indices(t), indices(s)) bit for bit.
     """
     by_target = {}
     for t, s in btree.inadmissible:
         by_target.setdefault(t, []).append(s)
+    size = [c.size for c in tree.clusters]
     dense = {}
     for t, sources in by_target.items():
-        col_blocks = [tree.indices(s) for s in sources]
-        row = oracle(tree.indices(t), np.concatenate(col_blocks))
-        dense.update(zip([(t, s) for s in sources],
-                         _column_views(row, [idx.size for idx in col_blocks])))
+        widths = [size[s] for s in sources]
+        row = np.empty((size[t], sum(widths)), dtype=np.complex128)
+        dense.update(zip([(t, s) for s in sources], _column_views(row, widths)))
+    for t, sources in by_target.items():
+        upper = [s for s in sources if s >= t]
+        sampled = oracle(tree.indices(t), np.concatenate([tree.indices(s) for s in upper]))
+        for s, d in zip(upper, _column_views(sampled, [size[s] for s in upper])):
+            dense[(t, s)][...] = d
+            if s != t:
+                dense[(s, t)][...] = d.T
     return dense
 
 

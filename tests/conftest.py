@@ -30,3 +30,13 @@ def cube2():
     h2 = build.build_h2(geom, kp, CompressionParams(1e-4, 1e-4), n_min=32)
     dense = kernel.assemble_dense(geom, kp)
     return geom, kp, h2, dense
+
+
+@pytest.fixture(scope="session")
+def slab22():
+    """2 x 2 wavelength slab, N = 400, with 16-voxel leaves."""
+    geom = kernel.generate_geometry("slab", [2.0, 2.0], 10, K0)
+    kp = kernel.KernelParams(k0=K0)
+    h2 = build.build_h2(geom, kp, CompressionParams(1e-4, 1e-4), n_min=16)
+    dense = kernel.assemble_dense(geom, kp)
+    return geom, kp, h2, dense

@@ -24,14 +24,23 @@ def _setup(shape, extent, n_min=16, eps=1e-5):
     return geom, kp, oracle, tree, btree, params
 
 
+def _upper(btree, cid):
+    """Admissible partners s > cid: the ones Stage I compresses cid's block with."""
+    return [s for s in btree.partners.get(cid, []) if s > cid]
+
+
 def _grouped_rows(tree, abs_map, cid):
-    """[A_j|c B_j^T | ...] over cid and its ancestors j with a nonzero factor."""
+    """cid's rows of the full grouped blocks of cid and of each ancestor j.
+
+    The upper blocks of j are A_j B_j^T; each lower block S_{j,s} is the
+    transpose of the upper S_{s,j} = A_s B_s|j^T.
+    """
     c = tree.cluster(cid)
     parts = [np.zeros((c.size, 0), dtype=np.complex128)]
     for j in [cid, *tree.ancestors(cid)]:
-        ab, off = abs_map[j], c.start - tree.cluster(j).start
-        if ab.rank:
-            parts.append(ab.a[off:off + c.size] @ ab.b.T)
+        rows = slice(c.start - tree.cluster(j).start, c.stop - tree.cluster(j).start)
+        parts.append(abs_map[j].a[rows] @ abs_map[j].b.T)
+        parts += [f.parts[j][rows] @ f.a.T for f in abs_map.values() if j in f.parts]
     return np.hstack(parts)
 
 
@@ -43,10 +52,15 @@ class TestStageOne:
         assert abs_map[tree.root].rank == 0
 
     def test_grouped_factor_matches_dense_concatenation(self):
+        # each factor covers its upper partners only and names them in order
         geom, kp, oracle, tree, btree, params = _rod_setup(16.4)
         abs_map = build.build_all_cluster_ab(tree, btree, oracle, params)
         checked = 0
-        for cid, partners in btree.partners.items():
+        for cid in range(len(tree)):
+            partners = _upper(btree, cid)
+            assert list(abs_map[cid].parts) == partners
+            if not partners:
+                continue
             rows = tree.indices(cid)
             cols = np.concatenate([tree.indices(s) for s in partners])
             dense = oracle(rows, cols)
@@ -60,7 +74,8 @@ class TestStageOne:
         geom, kp, oracle, tree, btree, params = _rod_setup(32.8)
         abs_map = build.build_all_cluster_ab(tree, btree, oracle, params)
         strictly_smaller = 0
-        for cid, partners in btree.partners.items():
+        for cid in btree.partners:
+            partners = _upper(btree, cid)
             if len(partners) < 2:
                 continue
             rows = tree.indices(cid)
@@ -105,11 +120,11 @@ class TestStageOneLeaves:
             return oracle(rows, cols)
 
         build.build_all_cluster_ab(tree, btree, counting, params)
-        leaves = [cid for cid in tree.leaves() if cid in btree.partners]
+        leaves = [cid for cid in tree.leaves() if _upper(btree, cid)]
         assert leaves
         for cid in leaves:
             rows = tree.indices(cid)
-            cols = np.concatenate([tree.indices(s) for s in btree.partners[cid]])
+            cols = np.concatenate([tree.indices(s) for s in _upper(btree, cid)])
             assert sum(np.array_equal(r, rows) and np.array_equal(c, cols)
                        for r, c in calls) == 1
         # every other call is one ACA row or column of a non-leaf cluster
@@ -121,10 +136,10 @@ class TestStageOneLeaves:
             abs_map = build.build_all_cluster_ab(tree, btree, oracle, params)
             checked = 0
             for cid in tree.leaves():
-                if cid not in btree.partners:
+                if not _upper(btree, cid):
                     continue
                 rows = tree.indices(cid)
-                cols = np.concatenate([tree.indices(s) for s in btree.partners[cid]])
+                cols = np.concatenate([tree.indices(s) for s in _upper(btree, cid)])
                 dense = oracle(rows, cols)
                 ab = abs_map[cid]
                 err = np.linalg.norm(ab.a @ ab.b.T - dense) / np.linalg.norm(dense)
@@ -187,6 +202,44 @@ class TestNearField:
         err = np.linalg.norm(arith.matmat_apply(m, x) - exact)
         assert err <= 1e-12 * np.linalg.norm(exact)
         assert all(np.array_equal(m.dense[k], d) for k, d in h2.dense.items())
+
+
+class TestOneSidedSampling:
+    """S = S^T: Stage I and the near field sample each block on one side only."""
+
+    @pytest.mark.parametrize("shape, extent", [("rod", [16.4]), ("slab", [2.0, 2.0]),
+                                               ("cube_array", [2, 2, 2])])
+    def test_no_entry_of_a_lower_block_is_requested(self, shape, extent):
+        geom, kp, oracle, tree, btree, params = _setup(shape, extent)
+        upper = np.zeros((geom.n, geom.n), dtype=bool)  # entry lies in some (t, s <= t)
+        for t, s in btree.admissible + btree.inadmissible:
+            upper[np.ix_(tree.indices(t), tree.indices(s))] = t <= s
+        assert not upper.all()
+        calls = []
+
+        def counting(rows, cols):
+            calls.append(bool(upper[np.ix_(rows, cols)].all()))
+            return oracle(rows, cols)
+
+        build.build_all_cluster_ab(tree, btree, counting, params)
+        build._near_field(tree, btree, counting)
+        assert calls and all(calls)
+
+    def test_near_field_samples_each_pair_once(self):
+        geom, kp, oracle, tree, btree, params = _setup("slab", [2.0, 2.0])
+        entries = []
+
+        def counting(rows, cols):
+            out = oracle(rows, cols)
+            entries.append(out.size)
+            return out
+
+        dense = build._near_field(tree, btree, counting)
+        size = [c.size for c in tree.clusters]
+        assert sum(entries) == sum(size[t] * size[s] for t, s in btree.inadmissible if t <= s)
+        assert len(entries) == len({t for t, _ in btree.inadmissible})  # one per block row
+        for (t, s), d in dense.items():
+            assert np.array_equal(d, dense[(s, t)].T)
 
 
 class TestBases:
@@ -277,32 +330,35 @@ class TestCoupling:
             assert views and all(buf is view.base for view in views)
 
     def test_stacked_projection_matches_per_block(self):
-        # each source's B_t|s are projected together; the result must match
-        # projecting every block on its own, then averaging mirrored pairs
+        # each source's B_t|s are projected together; every upper coupling
+        # must match projecting its block on its own, and every lower one
+        # is its mirror's transpose
         geom, kp, oracle, tree, btree, params = _setup("slab", [3.5, 3.5], 32, 1e-4)
         abs_map = build.build_all_cluster_ab(tree, btree, oracle, params)
         basis = build.build_bases(tree, abs_map, params)
         coupling = build.build_coupling(btree, abs_map, basis, tree)
         single = {}
-        for t, partners in btree.partners.items():
-            f = abs_map[t]
-            sizes = [tree.cluster(s).size for s in partners]
-            for s, b_s in zip(partners, np.split(f.b, np.cumsum(sizes[:-1]))):
+        for t, f in abs_map.items():
+            for s, b_s in f.parts.items():
                 single[(t, s)] = basis.apply_vh(t, f.a) @ basis.apply_vh(s, b_s).T
-        assert set(coupling) == set(single)
+        assert set(coupling) == set(single) | {(s, t) for t, s in single}
         for (t, s), got in coupling.items():
-            ref = 0.5 * (single[(t, s)] + single[(s, t)].T)
-            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+            if t < s:
+                ref = single[(t, s)]
+                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
             assert np.array_equal(got, coupling[(s, t)].T)
 
-    def test_reconstruction_matches_dense_slice(self, rod164):
-        geom, kp, h2, dense = rod164
-        tree = h2.tree
-        eps = h2.params.eps_acc
-        for (t, s), smat in h2.coupling.items():
-            block = dense[np.ix_(tree.indices(t), tree.indices(s))]
-            rec = h2.basis.materialize(t) @ smat @ h2.basis.materialize(s).T
-            assert np.linalg.norm(rec - block) <= 10 * eps * np.linalg.norm(block)
+    def test_reconstruction_matches_dense_slice(self, rod164, cube2, slab22):
+        # every admissible block, lower ones included, lies in the span of
+        # its two cluster bases, whichever side Stage I sampled
+        for geom, kp, h2, dense in (rod164, cube2, slab22):
+            tree = h2.tree
+            eps = h2.params.eps_acc
+            assert any(t > s for t, s in h2.coupling)
+            for (t, s), smat in h2.coupling.items():
+                block = dense[np.ix_(tree.indices(t), tree.indices(s))]
+                rec = h2.basis.materialize(t) @ smat @ h2.basis.materialize(s).T
+                assert np.linalg.norm(rec - block) <= 10 * eps * np.linalg.norm(block)
 
 
 class TestBuildH2:

@@ -274,6 +274,21 @@ class TestEntryOracle:
         for i in range(rows.size):
             assert np.array_equal(whole[i:i + 1], oracle(rows[i:i + 1], np.concatenate(parts)))
 
+    @pytest.mark.parametrize("shape, extent", [("rod", [3.2]), ("slab", [1.0, 1.0]),
+                                               ("cube_array", [2, 1, 1])])
+    def test_transposed_sample_is_bitwise_transpose(self, rng, shape, extent):
+        # the build samples one side of S = S^T and writes the other as its
+        # transpose, which a uniform contrast allows bit for bit
+        geom = kernel.generate_geometry(shape, extent, 10, K0)
+        oracle = kernel.entry_oracle(geom, kernel.KernelParams(k0=K0, eps_r=2.54 - 0.3j))
+        rows = rng.permutation(geom.n)[:23]
+        cols = np.concatenate([rows[:5], rng.permutation(geom.n)[:17]])
+        assert np.any(rows[:, None] == cols[None, :])  # diagonal entries included
+        assert np.array_equal(oracle(rows, cols), oracle(cols, rows).T)
+        full = np.arange(geom.n)
+        whole = oracle(full, full)
+        assert np.array_equal(whole, whole.T)
+
     def test_coincident_pair_names_the_voxels(self):
         geom = kernel.VoxelGeometry(
             np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]]), 1e-3, "rod"
