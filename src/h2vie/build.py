@@ -9,16 +9,20 @@ orthonormal columns (sampled whole and truncated by one SVD on leaves,
 cross approximation followed by an SVD trim above them). Each lower block
 is the transpose of an upper one, S_{t,s} = S_{s,t}^T = B_s|t A_s^T, and
 with A_s = W_s Sigma_s (W_s orthonormal) its rows are carried by the
-mirrored column factor B_s|t Sigma_s. Stage II turns those factors into
-one shared family of orthonormal cluster bases by one bottom-up rule: the
-stacked rows of each cluster's own and its ancestors' full grouped blocks,
-[A_j|c, B_s|j Sigma_s restricted to c, ...], are truncated by the same SVD
-rule, giving a leaf basis or two transfer matrices. Above the leaves those
-rows come projected onto the children's bases, as the coefficients
-s_k Vh_k that each child's SVD hands to its parent. Each admissible block
-then reduces to a small coupling matrix between two bases; inadmissible
-leaf blocks stay dense. Every rank in the build is chosen by
-linalg.truncated_svd.
+mirrored column factor B_s|t Sigma_s. One map, _mirrors, lists for each
+cluster t the views B_s|t into the Stage I factors of its lower partners;
+Stage II and the couplings both read the factors through it and copy
+none. Stage II turns those factors into one shared family of orthonormal
+cluster bases by one bottom-up rule: the stacked rows of each cluster's
+own and its ancestors' full grouped blocks, [A_j|c, B_s|j Sigma_s
+restricted to c, ...], are truncated by the same SVD rule, giving a leaf
+basis or two transfer matrices. A leaf forms the mirrored rows
+B_s|j Sigma_s only for its own #c rows, as it stacks them. Above the
+leaves those rows come projected onto the children's bases, as the
+coefficients s_k Vh_k that each child's SVD hands to its parent. Each
+admissible block then reduces to a small coupling matrix between two
+bases; inadmissible leaf blocks stay dense. Every rank in the build is
+chosen by linalg.truncated_svd.
 
 The shared form V_t S_{t,s} V_s^T needs the columns of S_{t,s}, that is
 the rows of S_{s,t}^T = diag(chi_s) K_{s,t}, to lie in span(V_s). Only a
@@ -404,19 +408,18 @@ def build_all_cluster_ab(tree, btree, oracle, params):
     return out
 
 
-def _row_factors(abs_map):
-    """cid -> column blocks whose span is that of the cluster's full grouped block.
+def _mirrors(abs_map):
+    """j -> [(t, B_t|j), ...]: the Stage I factors that carry j's lower blocks.
 
-    Cluster j's upper blocks are A_j B_j^T, and B_j is orthonormal, so A_j
-    carries their rows. A lower block S_{j,s} = B_s|j A_s^T with
-    A_s = W_s Sigma_s and W_s orthonormal is carried by B_s|j Sigma_s; the
-    singular values Sigma_s are the column norms of A_s.
+    Each lower block of cluster j is S_{j,t} = B_t|j A_t^T over the
+    clusters t < j that name j as an upper partner. Entries come in
+    abs_map order, then each factor's parts order, and every B_t|j is
+    Stage I's own view, not a copy.
     """
-    out = {j: [f.a] for j, f in abs_map.items()}
-    for f in abs_map.values():
-        sigma = np.linalg.norm(f.a, axis=0)
+    out = {}
+    for t, f in abs_map.items():
         for j, b in f.parts.items():
-            out[j].append(b * sigma)
+            out.setdefault(j, []).append((t, b))
     return out
 
 
@@ -424,29 +427,38 @@ def build_bases(tree, abs_map, params):
     """Stage II: one bottom-up sweep with one SVD rule for every cluster.
 
     X_c stacks, over j in {c} + ancestors(c), c's rows of the row factors
-    of j's full grouped block: [A_j|c, B_s|j Sigma_s restricted to c, ...]
-    over j's lower partners s (see _row_factors). These carry the left
-    singular vectors and values of c's rows of that block. A leaf stacks
-    them directly. The truncated_svd X_c ~= U_k s_k Vh_k at eps_acc gives
-    the leaf basis or the stacked transfers [T_lo; T_hi] as U_k, and
-    s_k Vh_k = U_k^H X_c is c's coefficient block. A non-leaf therefore
-    stacks its two children's coefficient blocks less the columns of the
-    children's own row factors: each ancestor's factor is projected once,
-    by the SVDs on the way up, and never again from the leaves. A zero or
-    empty X_c gives an empty basis of the right shape. Every cluster gets
-    a basis.
+    of j's full grouped block: A_j|c for its upper blocks, then for each
+    lower block S_{j,t} = B_t|j A_t^T (found through _mirrors) the
+    mirrored rows B_t|j Sigma_t restricted to c, where A_t = W_t Sigma_t
+    with W_t orthonormal and Sigma_t the column norms of A_t. These carry
+    the left singular vectors and values of c's rows of that block. A leaf
+    stacks them directly, scaling only the #c rows it takes, so no scaled
+    copy of any B_t is held. The truncated_svd X_c ~= U_k s_k Vh_k at
+    eps_acc gives the leaf basis or the stacked transfers [T_lo; T_hi] as
+    U_k, and s_k Vh_k = U_k^H X_c is c's coefficient block. A non-leaf
+    therefore stacks its two children's coefficient blocks less the
+    columns of the children's own row factors: each ancestor's factor is
+    projected once, by the SVDs on the way up, and never again from the
+    leaves. A zero or empty X_c gives an empty basis of the right shape.
+    Every cluster gets a basis. The Stage I factors are only read.
     """
-    row_factors = _row_factors(abs_map)
-    widths = {j: sum(p.shape[1] for p in parts) for j, parts in row_factors.items()}
+    mirrors = _mirrors(abs_map)
+    sigma = {t: np.linalg.norm(f.a, axis=0) for t, f in abs_map.items()}
+    widths = {j: f.rank + sum(b.shape[1] for _, b in mirrors.get(j, []))
+              for j, f in abs_map.items()}
     basis = NestedBasis(tree)
     coeffs = {}  # cid -> s_k Vh_k, until its parent takes it
     for level in reversed(tree.levels):
         for cid in level:
             c = tree.cluster(cid)
             if c.is_leaf:
-                x = np.hstack([p[c.start - tree.cluster(j).start:][:c.size]
-                               for j in [cid, *tree.ancestors(cid)]
-                               for p in row_factors[j]])
+                x = []
+                for j in [cid, *tree.ancestors(cid)]:
+                    lo = c.start - tree.cluster(j).start
+                    rows = slice(lo, lo + c.size)
+                    x.append(abs_map[j].a[rows])
+                    x += [b[rows] * sigma[t] for t, b in mirrors.get(j, [])]
+                x = np.hstack(x)
             else:
                 x = np.vstack([coeffs.pop(k)[:, widths[k]:] for k in c.children()])
             u, s, vh = truncated_svd(x, params.eps_acc)
@@ -460,28 +472,22 @@ def build_coupling(btree, abs_map, basis, tree):
 
     For an upper pair (t, s > t), S_{t,s} = (V_t^H A_t) (V_s^H B_t|s)^T,
     with V_t^H A_t computed once per target and B_t|s the part of B_t that
-    belongs to s. The B_t|s of every t below s are stacked side by side
-    and projected by one V_s^H per source cluster s. The mirror is written
-    as S_{s,t} = S_{t,s}^T, so the couplings are symmetric bit for bit
-    (which arith.h2_invert exploits). Each S_{t,s} is written into its
-    view of one row [S_{t,s1} | ...] per target, which H2Matrix keeps as
-    that block row's buffer. Keys come in btree.admissible order, which
-    fixes the summation order of each row. tree goes unused: each factor
-    names its own partners and their rows.
+    belongs to s. The B_t|s of every t below s, as _mirrors lists them,
+    are stacked side by side and projected by one V_s^H per source
+    cluster s. The mirror is written as S_{s,t} = S_{t,s}^T, so the
+    couplings are symmetric bit for bit (which arith.h2_invert exploits).
+    Each S_{t,s} is written into its view of one row [S_{t,s1} | ...] per
+    target, which H2Matrix keeps as that block row's buffer. Keys come in
+    btree.admissible order, which fixes the summation order of each row.
+    tree goes unused: each factor names its own partners and their rows.
     """
     coupling = {}
     for t, partners in sorted(btree.partners.items()):
         widths = [basis.rank(s) for s in partners]
         row = np.empty((basis.rank(t), sum(widths)), dtype=np.complex128)
         coupling.update(zip([(t, s) for s in partners], _column_views(row, widths)))
-    proj_a = {}
-    by_source = {}  # s -> [(t, B_t|s), ...]
-    for t, f in abs_map.items():
-        if f.parts:
-            proj_a[t] = basis.apply_vh(t, f.a)
-        for s, b_s in f.parts.items():
-            by_source.setdefault(s, []).append((t, b_s))
-    for s, blocks in by_source.items():
+    proj_a = {t: basis.apply_vh(t, f.a) for t, f in abs_map.items() if f.parts}
+    for s, blocks in _mirrors(abs_map).items():
         vb = basis.apply_vh(s, np.hstack([b_s for _, b_s in blocks]))
         vb_ts = _column_views(vb, [b_s.shape[1] for _, b_s in blocks])
         for (t, _), vb_t in zip(blocks, vb_ts):

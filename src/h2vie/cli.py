@@ -3,6 +3,11 @@
 Subcommands: rank-study, scaling-study, solve, verify. All experiment
 parameters come from an optional key=value config file plus repeatable
 --set key=value overrides; `h2vie <cmd> --help` lists them.
+
+Exit codes: 0 on success; 1 when the request is malformed or `verify`
+fails; 2 when the numbers fail: a named compression or inversion failure
+(printed as `error: <ClassName>: <message>`) or a solve that did not
+converge.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ import argparse
 import sys
 
 from . import bench
+from .arith import SingularLeafError
+from .build import ClusterCompressionError
 from .config import config_field_names, load_config
 
 
@@ -85,6 +92,9 @@ def main(argv=None):
                 failed += 0 if ok else 1
             print(f"{len(results) - failed}/{len(results)} checks passed")
             return 0 if failed == 0 else 1
+    except (ClusterCompressionError, SingularLeafError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

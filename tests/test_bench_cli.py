@@ -263,6 +263,19 @@ class TestCli:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("error", [build.ClusterCompressionError,
+                                       arith.SingularLeafError])
+    def test_named_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch,
+                                               error):
+        def fail(cfg):
+            raise error("cluster 7: it failed", 7)
+
+        monkeypatch.setattr(bench, "run_solve", fail)
+        rc = main(["solve", "--set", f"out={tmp_path/'s.csv'}",
+                   "--set", f"solution_out={tmp_path/'sol.txt'}"])
+        assert rc == 2
+        assert f"error: {error.__name__}: cluster 7: it failed" in capsys.readouterr().err
+
     def test_bad_config_exit_code(self, capsys):
         for key in ("bogus", "lambda0"):  # lengths are in wavelengths: no lambda0
             assert main(["solve", "--set", f"{key}=1"]) == 1

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -266,6 +267,24 @@ class TestBases:
             assert np.linalg.norm(resid) <= 10 * params.eps_acc * np.linalg.norm(m)
             checked += 1
         assert checked > 0
+
+    def test_stage_two_copies_no_stage_one_factor(self):
+        # the mirrored rows B_t|j Sigma_t are formed per leaf as it stacks
+        # them: a scaled copy of every B would double the traced peak
+        geom, kp, oracle, tree, btree, params = _setup("slab", [3.5, 3.5], n_min=32,
+                                                       eps=1e-4)
+        abs_map = build.build_all_cluster_ab(tree, btree, oracle, params)
+        before = {t: (f.a.copy(), f.b.copy()) for t, f in abs_map.items()}
+        b_bytes = sum(f.b.nbytes for f in abs_map.values())
+        tracemalloc.start()
+        try:
+            build.build_bases(tree, abs_map, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * b_bytes
+        for t, f in abs_map.items():
+            assert np.array_equal(f.a, before[t][0]) and np.array_equal(f.b, before[t][1])
 
     def test_leaf_gram_is_leaf_sized(self):
         for length in (16.4, 65.6):
