@@ -1,10 +1,15 @@
 """Arithmetic on the nested low-rank representation.
 
-Matrix-vector products run on the block-row layout of H2Matrix: a forward
-sweep up the tree fills one rank-space vector with every cluster's
-coefficients, one product per block row applies the couplings, a backward
-sweep pushes the result down to the leaves, and one product per block row
-adds the near field.
+Matrix-vector products run on the block-row layout of H2Matrix in the
+padded slot layout of NestedBasis.schedule(): every cluster of tree level
+l owns an equal slot of k_l rows (the level's largest rank) in one
+rank-space vector, and every leaf an equal slot of n_max rows (the
+largest leaf size) in a leaf-slot vector, with zeros in the padding. The
+input is scattered once into the leaf slots. A forward sweep up the tree
+fills the rank-space vector with one stacked product per level, one
+product per block row applies the couplings, a backward sweep pushes the
+result down with one stacked product per level, one product per block
+row adds the near field, and the result is gathered back once.
 Formatted addition and multiplication keep the block structure and cluster
 bases of the operands fixed, projecting whatever falls outside them; the
 recursive inverse is built from formatted products, subtree zeroing and
@@ -29,6 +34,10 @@ subdivided one and split down into its leaves. One half rule serves both
 operands: it puts a block of an operand, or of its transpose, into the
 left frame, and the right half Y of B is the transpose of B^T's left half.
 
+The formatted product and the inverse run their BLAS calls at one thread
+(_one_blas_thread): their many small GEMMs run slower split across
+threads.
+
 Because the bases are complex with V^H V = I while blocks are represented
 as V_t S V_s^T (plain transpose), every product and projection rule below
 carries an explicit conjugation; nothing relies on V^T V being identity.
@@ -36,7 +45,11 @@ carries an explicit conjugation; nothing relies on V^T V being identity.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import importlib
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,38 +84,44 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 
 
-def _apply_perm(h2, xp):
-    """Apply the representation to a permuted (n, q) block, permuted result.
+def _apply_slots(h2, xs):
+    """Apply the representation to an (n_rows, q) leaf-slot block.
 
-    All cluster coefficients live in one rank-space block laid out by
-    NestedBasis.schedule(). The forward sweep fills it leaves first, then
-    each parent from its two adjacent children through [T_lo; T_hi]; each
-    block row of couplings adds one product into the output coefficients,
-    the backward sweep pushes them down to the leaves, and each block row of
-    the near field adds one product into the result.
+    All cluster coefficients live in one rank-space block in the padded
+    slot layout of NestedBasis.schedule(), so each sweep step is one
+    np.matmul over a whole tree level. The forward sweep fills it leaves
+    first, each level from the slots below it; each block row of couplings
+    adds one product into the output coefficients, the backward sweep
+    pushes them down level by level into the leaf slots, and each block
+    row of the near field adds one product into the result.
     """
     sched = h2.basis.schedule()
-    q = xp.shape[1]
+    q = xs.shape[1]
     # forward transform: x^c = V_c^T x|_c, children first
     xr = np.empty((sched.size, q), dtype=np.complex128)
-    for lo, hi, start, stop, v in sched.leaves:
-        np.matmul(v.T, xp[start:stop], out=xr[lo:hi])
-    for lo, hi, c_lo, c_hi, tr in sched.inner:
-        np.matmul(tr.T, xr[c_lo:c_hi], out=xr[lo:hi])
+    below = xs
+    for lo, hi, c_lo, c_hi, stack in sched.steps:
+        p, n_in, k = stack.shape
+        np.matmul(stack.mT, below[c_lo:c_hi].reshape(p, n_in, q),
+                  out=xr[lo:hi].reshape(p, k, q))
+        below = xr
     # coupling products: y^t += [S^{t,s1} | S^{t,s2} | ...] [x^s1; x^s2; ...]
     yr = np.zeros_like(xr)
     for lo, hi, buf, src in h2.far_rows:
         yr[lo:hi] += buf @ xr[src]
     # backward transform: parents before children, expand at the leaves
-    for lo, hi, c_lo, c_hi, tr in reversed(sched.inner):
-        yr[c_lo:c_hi] += tr @ yr[lo:hi]
-    yp = np.zeros((h2.n, q), dtype=np.complex128)
-    for lo, hi, start, stop, v in sched.leaves:
-        np.matmul(v, yr[lo:hi], out=yp[start:stop])
+    leaf_step, *inner = sched.steps
+    for lo, hi, c_lo, c_hi, stack in reversed(inner):
+        p, n_in, k = stack.shape
+        children = yr[c_lo:c_hi].reshape(p, n_in, q)
+        children += stack @ yr[lo:hi].reshape(p, k, q)
+    lo, hi, _, _, stack = leaf_step
+    p, _, k = stack.shape
+    ys = (stack @ yr[lo:hi].reshape(p, k, q)).reshape(sched.n_rows, q)
     # near field, one block row per leaf cluster
     for start, stop, buf, src in h2.near_rows:
-        yp[start:stop] += buf @ xp[src]
-    return yp
+        ys[start:stop] += buf @ xs[src]
+    return ys
 
 
 def matvec(h2, x):
@@ -114,14 +133,66 @@ def matvec(h2, x):
 
 
 def matmat_apply(h2, rhs_block):
-    """Apply to an (n, q) dense block, all q columns in one sweep."""
+    """Apply to an (n, q) dense block, all q columns in one sweep.
+
+    The block is scattered once into the leaf slots of the padded layout
+    (NestedBasis.schedule(): each leaf's points in cluster order at the
+    head of an equal slot, zeros in the padding), applied there, and the
+    result is gathered back into the original ordering.
+    """
     rhs_block = np.asarray(rhs_block, dtype=np.complex128)
     if rhs_block.ndim != 2 or rhs_block.shape[0] != h2.n:
         raise ValueError(f"expected ({h2.n}, q) block")
-    perm = h2.tree.perm
-    out = np.empty_like(rhs_block)
-    out[perm] = _apply_perm(h2, rhs_block[perm])
-    return out
+    sched = h2.basis.schedule()
+    xs = np.zeros((sched.n_rows, rhs_block.shape[1]), dtype=np.complex128)
+    xs[sched.leaf_rows] = rhs_block
+    return _apply_slots(h2, xs)[sched.leaf_rows]
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads of the formatted arithmetic
+# ---------------------------------------------------------------------------
+
+# (extension module, suffix of the exported setter and getter) of each
+# OpenBLAS that the formatted arithmetic calls into: numpy's matmul and
+# scipy's zgemm and LAPACK load two separate libraries.
+_OPENBLAS_USERS = (("numpy._core._multiarray_umath", "64_"), ("scipy.linalg._fblas", ""))
+
+
+@functools.cache
+def _openblas_pools():
+    """(get, set) of the thread count of each loaded OpenBLAS that exports them."""
+    pools = []
+    for module, suffix in _OPENBLAS_USERS:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except (ImportError, OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        pools.append((get, set_))
+    return tuple(pools)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with every OpenBLAS pool at one thread, then restore them.
+
+    The formatted product is made of many small GEMMs, which run slower
+    when a pool splits each of them across threads. A library without the
+    setters is left as it is.
+    """
+    pools = _openblas_pools()
+    saved = [get() for get, _ in pools]
+    for _, set_ in pools:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(pools, saved):
+            set_(n)
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +500,15 @@ def h2_zeros_like(m):
 
 
 def h2_mul_formatted(a, b):
-    """Formatted product A (x) B projected onto the shared structure and bases."""
+    """Formatted product A (x) B projected onto the shared structure and bases.
+
+    Runs its BLAS calls at one thread (_one_blas_thread).
+    """
     _check_same_structure(a, b)
     c = h2_zeros_like(a)
     root = a.tree.root
-    _mul_into(c, a, b, root, root, root, 1)
+    with _one_blas_thread():
+        _mul_into(c, a, b, root, root, root, 1)
     return c
 
 
@@ -557,9 +632,11 @@ def h2_invert(m):
     diagonal blocks on their upper target leaves only, and returns an
     inverse whose every block equals its mirror's transpose bit for bit.
     Any other input, such as a formatted product, takes the general form.
+    Runs its BLAS calls at one thread (_one_blas_thread).
     """
     inv = m.copy()
-    _invert_rec(inv, m.tree.root, _is_symmetric(m))
+    with _one_blas_thread():
+        _invert_rec(inv, m.tree.root, _is_symmetric(m))
     return inv
 
 

@@ -68,18 +68,36 @@ class ClusterCompressionError(RuntimeError):
 
 @dataclass(frozen=True)
 class SweepSchedule:
-    """Plan of the apply sweeps over one stacked rank-space vector.
+    """Padded slot layout of the apply and its one stacked step per level.
 
-    Every cluster's coefficients occupy rows spans[cid] = (lo, hi) of that
-    vector, level by level and left to right within a level, so the spans
-    of two siblings are adjacent and their parent reaches both at once
-    through rows c_lo:c_hi. `inner` lists children before parents.
+    The cluster tree is perfect: level l holds 2^l clusters left to right,
+    and the children of position p sit at 2p and 2p + 1 one level down.
+    So every cluster of level l gets an equal slot of k_l rows in one
+    rank-space vector, k_l being the largest rank on level l, with the
+    levels stacked top down; spans[cid] = (lo, lo + k_cid) are the rows of
+    its own coefficients, at the head of its slot. Each leaf likewise gets
+    a slot of n_slot rows (the largest leaf size) in a leaf-slot vector of
+    n_rows rows; cells[cid] are its #c rows there, and leaf_rows maps each
+    original point index to its row. Rows outside a cluster's own block
+    are padding.
+
+    steps holds one (lo, hi, c_lo, c_hi, stack) per tree level, leaves
+    first. Rows lo:hi of the rank-space vector are the level's slots, and
+    c_lo:c_hi are the rows it reads: the whole leaf-slot vector for the
+    leaf level, the slots of the level below for the others. stack is
+    (2^l, rows per slot read, k_l) and holds per slot the leaf basis V_c,
+    or [T_lo; T_hi] with each transfer at its child's slot, and zeros
+    elsewhere, so one np.matmul over reshaped views of a whole level is
+    the forward step (stack^T) or the backward step (stack), and padding
+    stays zero.
     """
 
-    size: int  # total rank over all clusters
+    size: int  # rank-space rows: sum over levels of 2^l k_l
     spans: list  # cid -> (lo, hi) rows in rank space
-    leaves: list  # (lo, hi, start, stop, V) per leaf of nonzero rank
-    inner: list  # (lo, hi, c_lo, c_hi, [T_lo; T_hi]) per non-leaf of nonzero rank
+    n_rows: int  # leaf-slot rows: 2^L n_slot
+    cells: dict  # leaf cid -> (lo, hi) rows in the leaf-slot vector
+    leaf_rows: np.ndarray  # original point index -> leaf-slot row
+    steps: list  # (lo, hi, c_lo, c_hi, stack) per level, leaves first
 
 
 class NestedBasis:
@@ -88,8 +106,7 @@ class NestedBasis:
     def __init__(self, tree):
         self.tree = tree
         self.leaf_v = {}
-        self.transfers = {}  # cid -> (T_child_lo, T_child_hi), views of _stacked
-        self._stacked = {}  # cid -> [T_lo; T_hi] as set_basis received it
+        self.transfers = {}  # cid -> (T_child_lo, T_child_hi), views of one [T_lo; T_hi]
         self.ranks = {}
         self._mat = {}  # materialization cache
         self._mat_conj = {}  # conj(V) cache
@@ -107,37 +124,50 @@ class NestedBasis:
             self.leaf_v[cid] = p
         else:
             k_lo = self.rank(c.child_lo)
-            self._stacked[cid] = p
             self.transfers[cid] = (p[:k_lo], p[k_lo:])
         self.ranks[cid] = p.shape[1]
         self._schedule = None
 
     def schedule(self):
-        """Rank-space layout and sweep steps of the apply, cached."""
+        """Slot layout and stacked sweep steps of the apply, cached."""
         if self._schedule is not None:
             return self._schedule
         tree = self.tree
+        slot = [max(self.rank(cid) for cid in level) for level in tree.levels]
         spans = [None] * len(tree)
+        first = []  # first rank-space row of each level
         size = 0
-        for level in tree.levels:
-            for cid in level:
-                spans[cid] = (size, size + self.rank(cid))
-                size += self.rank(cid)
-        leaves = []
-        inner = []
-        for level in reversed(tree.levels):
-            for cid in level:
+        for level, k in zip(tree.levels, slot):
+            first.append(size)
+            for p, cid in enumerate(level):
+                spans[cid] = (size + p * k, size + p * k + self.rank(cid))
+            size += len(level) * k
+        leaves = tree.levels[-1]
+        n_slot = max(tree.cluster(cid).size for cid in leaves)
+        cells = {cid: (p * n_slot, p * n_slot + tree.cluster(cid).size)
+                 for p, cid in enumerate(leaves)}
+        leaf_rows = np.empty(tree.n_points, dtype=np.intp)
+        leaf_rows[tree.perm] = np.concatenate([np.arange(*cells[cid]) for cid in leaves])
+        steps = []
+        n_rows = len(leaves) * n_slot
+        c_lo, c_hi, n_in = 0, n_rows, n_slot  # rows read, and rows per slot
+        for lvl in reversed(range(tree.depth)):
+            level, k = tree.levels[lvl], slot[lvl]
+            stack = np.zeros((len(level), n_in, k), dtype=np.complex128)
+            for p, cid in enumerate(level):
                 if self.rank(cid) == 0:
                     continue
                 c = tree.cluster(cid)
                 if c.is_leaf:
-                    leaves.append((*spans[cid], c.start, c.stop, self.leaf_v[cid]))
+                    v = self.leaf_v[cid]
+                    stack[p, :v.shape[0], :v.shape[1]] = v
                     continue
-                lo, hi = c.children()
-                assert spans[lo][1] == spans[hi][0], "siblings must be adjacent"
-                inner.append((*spans[cid], spans[lo][0], spans[hi][1],
-                              self._stacked[cid]))
-        self._schedule = SweepSchedule(size, spans, leaves, inner)
+                for half, t in zip((0, slot[lvl + 1]), self.transfers[cid]):
+                    stack[p, half:half + t.shape[0], :t.shape[1]] = t
+            lo, hi = first[lvl], first[lvl] + len(level) * k
+            steps.append((lo, hi, c_lo, c_hi, stack))
+            c_lo, c_hi, n_in = lo, hi, 2 * k
+        self._schedule = SweepSchedule(size, spans, n_rows, cells, leaf_rows, steps)
         return self._schedule
 
     def apply_vh(self, cid, x):
@@ -222,7 +252,7 @@ def _block_rows(blocks, span, pack):
     """Group (t, s) -> payload blocks by target cluster into apply rows.
 
     Returns (rows, views). A row (lo, hi, buf, src) adds buf @ x[src] to
-    y[lo:hi], where span(c) is cluster c's (lo, hi) range in x and y. With
+    y[lo:hi], where span(c) is cluster c's (lo, hi) rows in x and y. With
     pack, the blocks of one row sit side by side in one buffer, src is the
     matching index array and views maps each block to its view into the
     buffer; blocks that already tile one array in row order (build_h2's
@@ -259,8 +289,11 @@ class H2Matrix:
     cluster t): [S_{t,s1} | S_{t,s2} | ...] for the couplings and
     [D_{t,s1} | D_{t,s2} | ...] for the near field, so one product applies
     a whole row. `coupling` and `dense` then map each block to its view
-    into that buffer. Payloads are mutated in place only: rebinding a dict
-    entry would detach it from the buffer that the apply reads.
+    into that buffer. Each row's target rows and source indices are in the
+    slot coordinates of NestedBasis.schedule(): rank-space slots for the
+    couplings, leaf slots for the near field. Payloads are mutated in place
+    only: rebinding a dict entry would detach it from the buffer that the
+    apply reads.
     """
 
     tree: cl.ClusterTree
@@ -269,8 +302,8 @@ class H2Matrix:
     coupling: dict  # (t, s) -> (k_t, k_s)
     dense: dict  # (t, s) -> (#t, #s)
     params: CompressionParams
-    far_rows: list = field(init=False, repr=False, compare=False)  # rank space
-    near_rows: list = field(init=False, repr=False, compare=False)  # permuted
+    far_rows: list = field(init=False, repr=False, compare=False)  # rank slots
+    near_rows: list = field(init=False, repr=False, compare=False)  # leaf slots
 
     def __post_init__(self):
         self._index_rows(pack=True)
@@ -290,12 +323,11 @@ class H2Matrix:
         return m
 
     def _index_rows(self, pack):
-        spans = self.basis.schedule().spans
+        sched = self.basis.schedule()
         self.far_rows, self.coupling = _block_rows(
-            self.coupling, spans.__getitem__, pack)
-        clusters = self.tree.clusters
+            self.coupling, sched.spans.__getitem__, pack)
         self.near_rows, self.dense = _block_rows(
-            self.dense, lambda c: (clusters[c].start, clusters[c].stop), pack)
+            self.dense, sched.cells.__getitem__, pack)
 
     @property
     def n(self):

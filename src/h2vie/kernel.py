@@ -248,6 +248,8 @@ def assemble_dense(geom, params, cap=6000):
 def plane_wave_rhs(geom, k0, direction):
     """Plane-wave excitation exp(-1j * k0 * d.r) sampled at voxel centers."""
     d = np.asarray(direction, dtype=np.float64)
+    if d.shape != (3,) or not np.all(np.isfinite(d)):
+        raise ValueError(f"direction must be a finite 3-vector, got {direction!r}")
     if abs(np.linalg.norm(d) - 1.0) > 1e-12:
-        raise ValueError("direction must be a unit vector")
+        raise ValueError(f"direction must be a unit vector, got {direction!r}")
     return np.exp(-1j * k0 * (geom.centers @ d))

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from h2vie import bench, build, kernel
+from h2vie import arith, bench, build, kernel
 from h2vie.arith import (
     SingularLeafError,
     _invert_rec,
@@ -188,6 +188,78 @@ class TestBlockRows:
                 assert not any(np.may_share_memory(a, b) for a, b in _row_pairs(blocks))
 
 
+def _assert_applies_materialized(h2, x, rel=1e-13):
+    exact = build.materialize(h2) @ x
+    got = matmat_apply(h2, x)
+    assert np.linalg.norm(got - exact) <= rel * np.linalg.norm(exact)
+
+
+class TestSlotApply:
+    """The apply in the padded slot layout of NestedBasis.schedule()."""
+
+    @pytest.mark.parametrize("q", [1, 3, 300])
+    @pytest.mark.parametrize("name", ["rod130", "slab35", "cube533"])
+    def test_matches_materialized(self, name, q, request, rng):
+        # rod130's leaves hold 16 or 17 points, so its leaf slots are padded
+        h2 = request.getfixturevalue(name)[2]
+        x = rng.standard_normal((h2.n, q)) + 1j * rng.standard_normal((h2.n, q))
+        _assert_applies_materialized(h2, x)
+        # blockwise layout: one row per block, slice sources
+        _assert_applies_materialized(h2.copy(), x)
+
+    @pytest.mark.parametrize("part", ["no_far", "no_near", "sweep_only"])
+    def test_without_couplings_or_near_field(self, slab35, part, rng):
+        _, _, h2, _ = slab35
+        coupling = {} if part in ("no_far", "sweep_only") else h2.coupling
+        dense = {} if part in ("no_near", "sweep_only") else h2.dense
+        m = build.H2Matrix(h2.tree, h2.btree, h2.basis, coupling, dense, h2.params)
+        x = rng.standard_normal((h2.n, 3)) + 1j * rng.standard_normal((h2.n, 3))
+        if part == "sweep_only":
+            assert np.array_equal(matmat_apply(m, x), np.zeros_like(x))
+        else:
+            _assert_applies_materialized(m, x)
+
+    def test_one_leaf_tree(self, rng):
+        geom = kernel.generate_geometry("rod", [1.6], 10, K0)
+        h2 = build.build_h2(geom, kernel.KernelParams(k0=K0),
+                            CompressionParams(1e-4, 1e-4), n_min=32)
+        assert h2.tree.depth == 1 and not h2.coupling
+        assert len(h2.basis.schedule().steps) == 1
+        _assert_applies_materialized(h2, _cvec(rng, h2.n)[:, None])
+
+    def test_rank_zero_levels(self, rng):
+        # identity model: every basis has rank 0, so every level's slots are empty
+        geom, h2 = _identity_h2()
+        sched = h2.basis.schedule()
+        assert sched.size == 0 and len(sched.steps) == h2.tree.depth > 1
+        x = rng.standard_normal((h2.n, 3)) + 1j * rng.standard_normal((h2.n, 3))
+        assert np.array_equal(matmat_apply(h2, x), x)
+
+    @pytest.mark.parametrize("name", ["rod130", "cube533"])
+    def test_one_stacked_step_per_level(self, name, request):
+        h2 = request.getfixturevalue(name)[2]
+        tree, basis = h2.tree, h2.basis
+        sched = basis.schedule()
+        assert len(sched.steps) == tree.depth
+        for lvl, (lo, hi, c_lo, c_hi, stack) in zip(reversed(range(tree.depth)),
+                                                    sched.steps):
+            level = tree.levels[lvl]
+            p, n_in, k = stack.shape
+            assert p == len(level) == 2**lvl and hi - lo == p * k
+            assert c_hi - c_lo == p * n_in
+            for pos, cid in enumerate(level):
+                assert sched.spans[cid] == (lo + pos * k, lo + pos * k + basis.rank(cid))
+                if tree.cluster(cid).is_leaf:
+                    assert sched.cells[cid][0] == pos * n_in
+                    blocks = [(0, basis.leaf_v[cid])]
+                else:
+                    blocks = zip((0, n_in // 2), basis.transfers[cid])
+                expect = np.zeros((n_in, k), dtype=complex)
+                for row, b in blocks:
+                    expect[row:row + b.shape[0], :b.shape[1]] = b
+                assert np.array_equal(stack[pos], expect)
+
+
 class TestFormattedAdd:
     def test_adding_zero_changes_nothing(self, rod164):
         _, _, h2, _ = rod164
@@ -370,6 +442,44 @@ class TestInverse:
             with pytest.raises(SingularLeafError, match="not finite") as exc_info:
                 h2_invert(broken)
         assert exc_info.value.cluster_id == cid
+
+
+class TestBlasThreads:
+    """The formatted arithmetic runs its BLAS calls at one thread."""
+
+    def _counts(self):
+        return [get() for get, _ in arith._openblas_pools()]
+
+    def test_inverse_and_product_run_at_one_thread(self, rod130, monkeypatch):
+        if not arith._openblas_pools():
+            pytest.skip("no OpenBLAS thread setters loaded")
+        _, _, h2, _ = rod130
+        seen = []
+        for name in ("_invert_rec", "_mul_into"):
+            inner = getattr(arith, name)
+
+            def spy(*args, inner=inner, **kwargs):
+                seen.append(self._counts())
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(arith, name, spy)
+        before = self._counts()
+        h2_invert(h2)
+        h2_mul_formatted(h2, h2)
+        assert seen and all(counts == [1] * len(before) for counts in seen)
+        assert self._counts() == before
+
+    def test_counts_restored_after_an_error(self):
+        before = self._counts()
+        with pytest.raises(ZeroDivisionError):
+            with arith._one_blas_thread():
+                1 / 0
+        assert self._counts() == before
+
+    def test_missing_setters_are_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(arith, "_OPENBLAS_USERS",
+                            (("math", ""), ("no_such_module_here", "")))
+        assert arith._openblas_pools.__wrapped__() == ()
 
 
 def _mirrored_pairs(m, t, s):

@@ -180,11 +180,10 @@ class TestNearField:
         dense = build._near_field(h2.tree, h2.btree, kernel.entry_oracle(geom, kp))
         m = build.H2Matrix(h2.tree, h2.btree, h2.basis, dict(h2.coupling), dense,
                            h2.params)
-        clusters = h2.tree.clusters
+        cells = h2.basis.schedule().cells
         for start, stop, buf, _ in m.near_rows:
-            views = [d for (t, _), d in dense.items()
-                     if (clusters[t].start, clusters[t].stop) == (start, stop)]
-            assert all(buf is view.base for view in views)
+            views = [d for (t, _), d in dense.items() if cells[t] == (start, stop)]
+            assert views and all(buf is view.base for view in views)
 
     def test_out_of_order_views_are_packed(self, rod164, rng):
         _, _, h2, _ = rod164

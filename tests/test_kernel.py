@@ -172,6 +172,17 @@ class TestPlaneWave:
         with pytest.raises(ValueError):
             kernel.plane_wave_rhs(geom, K0, [0, -2, 0])
 
+    @pytest.mark.parametrize("direction", [
+        [np.nan, 0.0, 0.0],  # the norm test is False for NaN
+        [0.0, -1.0, 0.0, 0.0],
+        [[0.0, -1.0, 0.0]],
+    ], ids=["nan", "four-entries", "row-matrix"])
+    def test_direction_not_a_finite_3_vector_rejected(self, direction):
+        geom = kernel.generate_geometry("rod", [1.0], 10, K0)
+        with pytest.raises(ValueError, match=r"direction must be a finite 3-vector, "
+                                             r"got \["):
+            kernel.plane_wave_rhs(geom, K0, direction)
+
 
 class TestAssembleDense:
     def test_identity_for_zero_contrast(self):
