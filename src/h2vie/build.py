@@ -251,34 +251,41 @@ def _column_views(row, widths):
 def _block_rows(blocks, span, pack):
     """Group (t, s) -> payload blocks by target cluster into apply rows.
 
-    Returns (rows, views). A row (lo, hi, buf, src) adds buf @ x[src] to
-    y[lo:hi], where span(c) is cluster c's (lo, hi) rows in x and y. With
-    pack, the blocks of one row sit side by side in one buffer, src is the
-    matching index array and views maps each block to its view into the
-    buffer; blocks that already tile one array in row order (build_h2's
-    couplings and near field) keep that array as the buffer, others are
-    copied into a new one. Without pack every block is a row of its own,
-    keeps its array and has a slice as src. Empty blocks join no row.
+    Returns (rows, views, gather). A row (lo, hi, buf, src) adds
+    buf @ x[gather][src] to y[lo:hi], where span(c) is cluster c's (lo, hi)
+    rows in x and y. With pack, the blocks of one row sit side by side in
+    one buffer, views maps each block to its view into the buffer, gather
+    is the stage's one index: the rows' source indices in x, concatenated
+    in row order, and src is the row's slice of it. Blocks that already
+    tile one array in row order (build_h2's couplings and near field) keep
+    that array as the buffer, others are copied into a new one. Without
+    pack every block is a row of its own and keeps its array, gather is
+    None and src is a slice of x itself. Empty blocks join no row.
     """
     by_target = {}
     for (t, s), p in blocks.items():
         if p.size:
             by_target.setdefault(t, []).append(s)
     views = dict(blocks)
+    if not pack:
+        rows = [(*span(t), blocks[(t, s)], slice(*span(s)))
+                for t, sources in by_target.items() for s in sources]
+        return rows, views, None
     rows = []
+    indices = []
+    end = 0
     for t, sources in by_target.items():
-        if not pack:
-            rows.extend((*span(t), blocks[(t, s)], slice(*span(s))) for s in sources)
-            continue
         parts = [blocks[(t, s)] for s in sources]
         buf = _row_owner(parts)
         if buf is None:
             buf = np.concatenate(parts, axis=1)
         views.update(zip([(t, s) for s in sources],
                          _column_views(buf, [p.shape[1] for p in parts])))
-        src = np.concatenate([np.arange(*span(s)) for s in sources])
-        rows.append((*span(t), buf, src))
-    return rows, views
+        indices.extend(np.arange(*span(s)) for s in sources)
+        rows.append((*span(t), buf, slice(end, end + buf.shape[1])))
+        end += buf.shape[1]
+    gather = np.concatenate(indices) if indices else np.empty(0, dtype=np.intp)
+    return rows, views, gather
 
 
 @dataclass
@@ -291,9 +298,13 @@ class H2Matrix:
     a whole row. `coupling` and `dense` then map each block to its view
     into that buffer. Each row's target rows and source indices are in the
     slot coordinates of NestedBasis.schedule(): rank-space slots for the
-    couplings, leaf slots for the near field. Payloads are mutated in place
-    only: rebinding a dict entry would detach it from the buffer that the
-    apply reads.
+    couplings, leaf slots for the near field. Each stage has one gather
+    index, far_src and near_src: its rows' source indices concatenated in
+    row order, so a row (lo, hi, buf, src) holds src as a slice into it and
+    adds buf @ x[gather][src] to y[lo:hi]. A blockwise matrix has no gather
+    index (None), and each row's src is a slice of x. Payloads are mutated
+    in place only: rebinding a dict entry would detach it from the buffer
+    that the apply reads.
     """
 
     tree: cl.ClusterTree
@@ -304,6 +315,8 @@ class H2Matrix:
     params: CompressionParams
     far_rows: list = field(init=False, repr=False, compare=False)  # rank slots
     near_rows: list = field(init=False, repr=False, compare=False)  # leaf slots
+    far_src: np.ndarray | None = field(init=False, repr=False, compare=False)
+    near_src: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._index_rows(pack=True)
@@ -324,9 +337,9 @@ class H2Matrix:
 
     def _index_rows(self, pack):
         sched = self.basis.schedule()
-        self.far_rows, self.coupling = _block_rows(
+        self.far_rows, self.coupling, self.far_src = _block_rows(
             self.coupling, sched.spans.__getitem__, pack)
-        self.near_rows, self.dense = _block_rows(
+        self.near_rows, self.dense, self.near_src = _block_rows(
             self.dense, sched.cells.__getitem__, pack)
 
     @property

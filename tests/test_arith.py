@@ -260,6 +260,93 @@ class TestSlotApply:
                 assert np.array_equal(stack[pos], expect)
 
 
+def _rows_one_gather_each(y, x, rows, gather):
+    """The row loop with one gather per packed row: the panels' reference."""
+    for lo, hi, buf, src in rows:
+        y[lo:hi] += buf @ (x[src] if gather is None else x[gather[src]])
+
+
+class _GatherSpy(np.ndarray):
+    """A stage input that records the index of every read from it."""
+
+    def __getitem__(self, key):
+        self.keys.append(key)
+        return np.asarray(self)[key]
+
+
+class TestPanelApply:
+    """Each packed stage gathers its inputs in panels of whole rows."""
+
+    @pytest.mark.parametrize("q", [1, 3, 64])
+    @pytest.mark.parametrize("name", ["rod130", "slab35", "cube533"])
+    def test_equals_one_gather_per_row(self, name, q, request, rng, monkeypatch):
+        h2 = request.getfixturevalue(name)[2]
+        x = rng.standard_normal((h2.n, q)) + 1j * rng.standard_normal((h2.n, q))
+        for m in (h2, h2.copy()):
+            got = matmat_apply(m, x)
+            with monkeypatch.context() as mp:
+                mp.setattr(arith, "_add_rows", _rows_one_gather_each)
+                ref = matmat_apply(m, x)
+            assert np.array_equal(got, ref)
+
+    @staticmethod
+    def _spied_stages(m, x, monkeypatch):
+        """(input rows, rows, gather, recorded read indices) per stage of one apply."""
+        stages = []
+        add_rows = arith._add_rows
+
+        def spying(y, x_in, rows, gather):
+            spy = x_in.view(_GatherSpy)
+            spy.keys = []
+            stages.append((x_in.shape[0], rows, gather, spy.keys))
+            add_rows(y, spy, rows, gather)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(arith, "_add_rows", spying)
+            matmat_apply(m, x)
+        assert stages[0][1] is m.far_rows and stages[1][1] is m.near_rows
+        return stages
+
+    @pytest.mark.parametrize("q", [1, 3, 64])
+    @pytest.mark.parametrize("name", ["rod130", "slab35", "cube533"])
+    def test_panels_are_whole_rows_within_one_column(self, name, q, request, rng,
+                                                     monkeypatch):
+        h2 = request.getfixturevalue(name)[2]
+        x = rng.standard_normal((h2.n, q)) + 1j * rng.standard_normal((h2.n, q))
+        for n_in, rows, gather, keys in self._spied_stages(h2, x, monkeypatch):
+            assert gather is not None and all(isinstance(k, np.ndarray) for k in keys)
+            # every source gathered once, in row order
+            assert np.array_equal(np.concatenate([gather[:0], *keys]), gather)
+            size = {src.start: src.stop - src.start for *_, src in rows}
+            edges = np.cumsum([0] + [k.size for k in keys])
+            assert set(edges[:-1].tolist()) <= set(size)  # no panel splits a row
+            for k, edge in zip(keys, edges):
+                assert 0 < k.size <= n_in  # never more than the stage's input
+                # at most one input column's entries, or a single row
+                assert k.size * q <= n_in or k.size == size[edge]
+            # a panel ends only where the next row would overflow it, so
+            # two neighbouring panels always hold more than one column
+            for k, edge in zip(keys, edges[1:-1]):
+                assert (k.size + size[edge]) * q > n_in
+            assert len(keys) < 2 * gather.size * q / n_in + 1
+
+    def test_fewer_gathers_than_rows(self, slab35, monkeypatch):
+        h2 = slab35[2]
+        x = np.ones((h2.n, 1), dtype=complex)
+        for _, rows, _, keys in self._spied_stages(h2, x, monkeypatch):
+            assert 1 < len(keys) < len(rows)
+
+    @pytest.mark.parametrize("name", ["rod130", "cube533"])
+    def test_blockwise_rows_gather_nothing(self, name, request, rng, monkeypatch):
+        m = request.getfixturevalue(name)[2].copy()
+        x = rng.standard_normal((m.n, 3)) + 1j * rng.standard_normal((m.n, 3))
+        stages = self._spied_stages(m, x, monkeypatch)
+        for _, rows, gather, keys in stages:
+            assert gather is None
+            assert keys == [src for *_, src in rows]
+            assert all(isinstance(k, slice) for k in keys)
+
+
 class TestFormattedAdd:
     def test_adding_zero_changes_nothing(self, rod164):
         _, _, h2, _ = rod164

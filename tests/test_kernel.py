@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -183,6 +185,13 @@ class TestPlaneWave:
                                              r"got \["):
             kernel.plane_wave_rhs(geom, K0, direction)
 
+    @pytest.mark.parametrize("k0", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_k0_rejected(self, k0):
+        geom = kernel.generate_geometry("rod", [1.0], 10, K0)
+        with pytest.raises(ValueError, match=rf"k0 must be finite, got {k0!r}"):
+            kernel.plane_wave_rhs(geom, k0, [0, -1, 0])
+
 
 class TestAssembleDense:
     def test_identity_for_zero_contrast(self):
@@ -299,6 +308,39 @@ class TestEntryOracle:
         full = np.arange(geom.n)
         whole = oracle(full, full)
         assert np.array_equal(whole, whole.T)
+
+    def test_chunked_block_equals_its_rows_bitwise(self, rng):
+        # 160 x 1225 entries span three row chunks; each single row is one chunk
+        geom = kernel.generate_geometry("slab", [3.5, 3.5], 10, K0)
+        oracle = kernel.entry_oracle(geom, kernel.KernelParams(k0=K0, eps_r=2.54 - 0.3j))
+        rows = rng.permutation(geom.n)[:160]
+        cols = np.arange(geom.n)
+        whole = oracle(rows, cols)
+        assert whole.size > 2 * kernel._CHUNK_ENTRIES
+        for i in range(rows.size):
+            assert np.array_equal(whole[i:i + 1], oracle(rows[i:i + 1], cols))
+
+    def test_block_temporaries_are_bounded(self):
+        geom = kernel.generate_geometry("slab", [3.5, 3.5], 10, K0)
+        oracle = kernel.entry_oracle(geom, kernel.KernelParams(k0=K0))
+        rows = np.arange(512) * geom.n // 512
+        tracemalloc.start()
+        try:
+            block = oracle(rows, np.arange(geom.n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * block.nbytes
+
+    def test_coincident_pair_in_a_later_chunk(self):
+        centers = np.zeros((300, 3))
+        centers[:, 0] = np.arange(300.0)
+        geom = kernel.VoxelGeometry(centers, 1e-3, "rod")
+        geom.centers[260] = geom.centers[250]  # bypass the constructor's check
+        oracle = kernel.entry_oracle(geom, kernel.KernelParams(k0=K0))
+        full = np.arange(300)
+        with pytest.raises(kernel.CoincidentCentersError, match="voxels 250 and 260 "):
+            oracle(full, full)
 
     def test_coincident_pair_names_the_voxels(self):
         geom = kernel.VoxelGeometry(
