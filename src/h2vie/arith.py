@@ -18,6 +18,13 @@ bases of the operands fixed, projecting whatever falls outside them; the
 recursive inverse is built from formatted products, subtree zeroing and
 mirroring, and dense leaf inverses, and returns a matrix with the same
 structure as its input.
+Every H2Matrix, these results included, has the one block-row layout of
+its constructor. The product and the inverse add into their target blocks
+by zgemm, which needs blocks that own contiguous memory, so they work on a
+private copy (_Blocks) with one array per block and no apply rows. _pack
+then moves its blocks into the returned H2Matrix one block row at a time,
+dropping each block as its row is built, so the result never holds two
+copies of its payload.
 If the input is complex symmetric bit for bit (every block equals its
 mirror's transpose, as build_h2's operators are), the inverse runs a
 symmetric recursion with one rule for every symmetric block it writes:
@@ -59,7 +66,7 @@ import numpy as np
 from scipy.linalg.blas import zgemm
 
 from . import clustering as cl
-from .build import H2Matrix
+from .build import H2Matrix, _moved_rows
 from .linalg import SingularMatrixError, dense_lu_invert
 
 
@@ -73,6 +80,39 @@ class SingularLeafError(RuntimeError):
     def __init__(self, message, cluster_id):
         super().__init__(message)
         self.cluster_id = cluster_id
+
+
+class _Blocks:
+    """A private working copy: one C-contiguous array per block, no apply rows.
+
+    It shares m's cluster tree, block tree and bases, and maps (t, s) to
+    its own (k_t, k_s) coupling and (#t, #s) dense blocks. The formatted
+    product adds into each leaf target block by one zgemm on its Fortran
+    view, which needs a block that owns contiguous memory; an H2Matrix's
+    blocks are column views of its row buffers. So the product and the
+    inverse write into these, and _pack moves the result into an H2Matrix.
+    """
+
+    def __init__(self, m, coupling, dense):
+        self.tree, self.btree, self.basis = m.tree, m.btree, m.basis
+        self.coupling, self.dense = coupling, dense
+
+
+def _working_copy(m):
+    """_Blocks holding a contiguous copy of every block of m."""
+    return _Blocks(m, {k: v.copy() for k, v in m.coupling.items()},
+                   {k: v.copy() for k, v in m.dense.items()})
+
+
+def _pack(w, params):
+    """Move the blocks of working copy w into an H2Matrix, one block row at a time.
+
+    w is emptied: each block is dropped as soon as its row is built, so
+    packing costs one row beyond the payload as long as nothing else
+    refers to w's blocks.
+    """
+    return H2Matrix(w.tree, w.btree, w.basis, _moved_rows(w.coupling),
+                    _moved_rows(w.dense), params)
 
 
 @dataclass
@@ -127,7 +167,7 @@ def _apply_slots(h2, xs):
 
 
 def _panels(rows, limit):
-    """Split a packed stage's rows into panels of consecutive whole rows.
+    """Split a stage's rows into panels of consecutive whole rows.
 
     Yields (start, stop, part): the rows `part` read gather[start:stop],
     and stop - start <= limit unless part is a single row.
@@ -144,9 +184,8 @@ def _panels(rows, limit):
 def _add_rows(y, x, rows, gather):
     """y[lo:hi] += buf @ x[gather][src] for every block row (lo, hi, buf, src).
 
-    A blockwise stage (gather None) reads x through each row's slice. A
-    packed stage gathers the inputs of consecutive whole rows at once, in
-    panels of at most as many entries as one column of x, or of one row.
+    The inputs of consecutive whole rows are gathered at once, in panels
+    of at most as many entries as one column of x, or of one row.
     A gather costs a call whatever its size, so at small q one gather
     serves many short rows; at large q each row's own gather is already
     large, and a panel the size of x only moved the rows' inputs out of
@@ -154,10 +193,6 @@ def _add_rows(y, x, rows, gather):
     One row reads at most x's rows, as its sources are distinct clusters,
     so a panel never holds more than x itself.
     """
-    if gather is None:
-        for lo, hi, buf, src in rows:
-            y[lo:hi] += buf @ x[src]
-        return
     n_in, q = x.shape
     for start, stop, part in _panels(rows, n_in // max(q, 1)):
         xg = x[gather[start:stop]]
@@ -180,9 +215,10 @@ def matmat_apply(h2, rhs_block):
     The block is scattered once into the leaf slots of the padded layout
     (NestedBasis.schedule(): each leaf's points in cluster order at the
     head of an equal slot, zeros in the padding), applied there, and the
-    result is gathered back into the original ordering. Each packed row
-    stage gathers its inputs in panels of whole rows (see _add_rows), so
-    the gathered inputs never take more memory than the stage's input.
+    result is gathered back into the original ordering. Each row stage
+    gathers its inputs in panels of whole rows (see _add_rows), so the
+    gathered inputs never take more memory than the stage's input. Every
+    H2Matrix, an inverse or a formatted product too, is applied this way.
     """
     rhs_block = np.asarray(rhs_block, dtype=np.complex128)
     if rhs_block.ndim != 2 or rhs_block.shape[0] != h2.n:
@@ -540,20 +576,21 @@ def _mul_into(c, a, b, t, s, r, sign, upper=False):
 
 def h2_zeros_like(m):
     """Same structure and bases as m, zero couplings and dense leaves."""
-    return _fresh_block(m, m.tree.root, m.tree.root)
+    return _pack(_fresh_block(m, m.tree.root, m.tree.root), m.params)
 
 
 def h2_mul_formatted(a, b):
     """Formatted product A (x) B projected onto the shared structure and bases.
 
-    Runs its BLAS calls at one thread (_one_blas_thread).
+    The product accumulates into a private working copy (_Blocks), which
+    is then packed. Runs its BLAS calls at one thread (_one_blas_thread).
     """
     _check_same_structure(a, b)
-    c = h2_zeros_like(a)
     root = a.tree.root
+    c = _fresh_block(a, root, root)
     with _one_blas_thread():
         _mul_into(c, a, b, root, root, root, 1)
-    return c
+    return _pack(c, a.params)
 
 
 # ---------------------------------------------------------------------------
@@ -583,12 +620,10 @@ def _subtree_leaves(m, t, s, upper=False):
 
 
 def _fresh_block(m, t, s):
-    """Zero-initialized accumulator covering only the (t, s) subtree of m."""
-    coupling = {}
-    dense = {}
-    for key, payloads in _subtree_leaves(m, t, s):
-        (coupling if payloads is m.coupling else dense)[key] = np.zeros_like(payloads[key])
-    return H2Matrix.blockwise(m.tree, m.btree, m.basis, coupling, dense, m.params)
+    """Zero-initialized _Blocks accumulator covering only the (t, s) subtree of m."""
+    leaves = _subtree_leaves(m, t, s)
+    return _Blocks(m, {k: np.zeros_like(p[k]) for k, p in leaves if p is m.coupling},
+                   {k: np.zeros_like(p[k]) for k, p in leaves if p is m.dense})
 
 
 def _zero_subtree(m, t, s):
@@ -669,7 +704,8 @@ def _invert_rec(m, t, symmetric):
 def h2_invert(m):
     """Inverse with the same structure and bases as m (formatted recursion).
 
-    The input is left untouched; a private copy is mutated in place. If
+    The input is left untouched: a private working copy (_Blocks) is
+    inverted in place and then packed into the returned H2Matrix. If
     every block of m equals the transpose of its mirror exactly (build_h2's
     operators do, see h2vie.build), the recursion runs its symmetric form:
     it forms four of the six products per level, the two that update
@@ -678,10 +714,10 @@ def h2_invert(m):
     Any other input, such as a formatted product, takes the general form.
     Runs its BLAS calls at one thread (_one_blas_thread).
     """
-    inv = m.copy()
+    inv = _working_copy(m)
     with _one_blas_thread():
         _invert_rec(inv, m.tree.root, _is_symmetric(m))
-    return inv
+    return _pack(inv, m.params)
 
 
 def _check_finite(name, x):
@@ -722,7 +758,8 @@ def bicgstab_solve(apply, rhs, tol=1e-3, max_iter=200, shadow=None):
     Converges when ||r||/||rhs|| <= tol, at the half step (s) or the full
     step (r); `converged` says whether the last residual-history entry is
     within tol. The shadow residual defaults to the initial residual; pass
-    `shadow` to override.
+    `shadow` to override. rhs must be a vector and shadow, if given, of
+    rhs's shape; anything else is refused before the first apply.
 
     Scale: the solve runs on rhs 2^-e (and shadow 2^-e), where 2^e is the
     power of two just above the largest magnitude of a real or imaginary
@@ -742,6 +779,9 @@ def bicgstab_solve(apply, rhs, tol=1e-3, max_iter=200, shadow=None):
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     b = np.asarray(rhs, dtype=np.complex128)
+    if b.ndim != 1 or (shadow is not None and np.shape(shadow) != b.shape):
+        raise ValueError(f"rhs must be a vector and shadow of its shape: rhs {b.shape}, "
+                         f"shadow {None if shadow is None else np.shape(shadow)}")
     _check_finite("rhs", b)
     # the parts' largest magnitude, unlike |b|, cannot overflow
     e = int(np.frexp(np.abs(np.stack([b.real, b.imag])).max(initial=0.0))[1])

@@ -248,29 +248,29 @@ def _column_views(row, widths):
     return [row[:, lo:hi] for lo, hi in zip(edges, edges[1:])]
 
 
-def _block_rows(blocks, span, pack):
+def _by_target(keys):
+    """t -> [s, ...] for the (t, s) keys, in the order they come."""
+    out = {}
+    for t, s in keys:
+        out.setdefault(t, []).append(s)
+    return out
+
+
+def _block_rows(blocks, span):
     """Group (t, s) -> payload blocks by target cluster into apply rows.
 
-    Returns (rows, views, gather). A row (lo, hi, buf, src) adds
+    Returns (rows, views, gather). The blocks of one row sit side by side
+    in one buffer, views maps each block to its view into the buffer, and
+    gather is the stage's one index: the rows' source indices in x,
+    concatenated in row order. A row (lo, hi, buf, src) adds
     buf @ x[gather][src] to y[lo:hi], where span(c) is cluster c's (lo, hi)
-    rows in x and y. With pack, the blocks of one row sit side by side in
-    one buffer, views maps each block to its view into the buffer, gather
-    is the stage's one index: the rows' source indices in x, concatenated
-    in row order, and src is the row's slice of it. Blocks that already
-    tile one array in row order (build_h2's couplings and near field) keep
-    that array as the buffer, others are copied into a new one. Without
-    pack every block is a row of its own and keeps its array, gather is
-    None and src is a slice of x itself. Empty blocks join no row.
+    rows in x and y and src is the row's slice of gather. Blocks that
+    already tile one array in row order (build_h2's couplings and near
+    field, _moved_rows' rows) keep that array as the buffer, others are
+    copied into a new one. Empty blocks join no row.
     """
-    by_target = {}
-    for (t, s), p in blocks.items():
-        if p.size:
-            by_target.setdefault(t, []).append(s)
+    by_target = _by_target(key for key, p in blocks.items() if p.size)
     views = dict(blocks)
-    if not pack:
-        rows = [(*span(t), blocks[(t, s)], slice(*span(s)))
-                for t, sources in by_target.items() for s in sources]
-        return rows, views, None
     rows = []
     indices = []
     end = 0
@@ -288,6 +288,25 @@ def _block_rows(blocks, span, pack):
     return rows, views, gather
 
 
+def _moved_rows(blocks):
+    """Move the (t, s) -> payload blocks into one new buffer per target row.
+
+    Returns each block's view into its row, rows in the order their
+    targets first come in `blocks`. It empties `blocks` one row at a time:
+    when the caller holds no other reference to the blocks, each row's
+    blocks are freed as soon as the row is built, so the move costs one
+    row beyond the payload. The rows tile, so H2Matrix keeps them as its
+    row buffers without a copy.
+    """
+    moved = {}
+    for t, sources in _by_target(blocks).items():
+        parts = [blocks.pop((t, s)) for s in sources]
+        row = np.concatenate(parts, axis=1)
+        moved.update(zip([(t, s) for s in sources],
+                         _column_views(row, [p.shape[1] for p in parts])))
+    return moved
+
+
 @dataclass
 class H2Matrix:
     """Nested-basis representation: couplings on admissible leaves, dense rest.
@@ -301,10 +320,10 @@ class H2Matrix:
     couplings, leaf slots for the near field. Each stage has one gather
     index, far_src and near_src: its rows' source indices concatenated in
     row order, so a row (lo, hi, buf, src) holds src as a slice into it and
-    adds buf @ x[gather][src] to y[lo:hi]. A blockwise matrix has no gather
-    index (None), and each row's src is a slice of x. Payloads are mutated
-    in place only: rebinding a dict entry would detach it from the buffer
-    that the apply reads.
+    adds buf @ x[gather][src] to y[lo:hi]. Every H2Matrix has this layout,
+    the results of h2vie.arith included. Payloads are mutated in place
+    only: rebinding a dict entry would detach it from the buffer that the
+    apply reads.
     """
 
     tree: cl.ClusterTree
@@ -315,32 +334,15 @@ class H2Matrix:
     params: CompressionParams
     far_rows: list = field(init=False, repr=False, compare=False)  # rank slots
     near_rows: list = field(init=False, repr=False, compare=False)  # leaf slots
-    far_src: np.ndarray | None = field(init=False, repr=False, compare=False)
-    near_src: np.ndarray | None = field(init=False, repr=False, compare=False)
+    far_src: np.ndarray = field(init=False, repr=False, compare=False)
+    near_src: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._index_rows(pack=True)
-
-    @classmethod
-    def blockwise(cls, tree, btree, basis, coupling, dense, params):
-        """Like the constructor, but every payload stays its own array.
-
-        Each block is then a row of its own. Formatted arithmetic adds into
-        its targets block by block, which is fastest on contiguous arrays,
-        so the copies and accumulators in h2vie.arith are made this way.
-        """
-        m = cls.__new__(cls)
-        m.tree, m.btree, m.basis, m.params = tree, btree, basis, params
-        m.coupling, m.dense = coupling, dense
-        m._index_rows(pack=False)
-        return m
-
-    def _index_rows(self, pack):
         sched = self.basis.schedule()
         self.far_rows, self.coupling, self.far_src = _block_rows(
-            self.coupling, sched.spans.__getitem__, pack)
+            self.coupling, sched.spans.__getitem__)
         self.near_rows, self.dense, self.near_src = _block_rows(
-            self.dense, sched.cells.__getitem__, pack)
+            self.dense, sched.cells.__getitem__)
 
     @property
     def n(self):
@@ -351,15 +353,10 @@ class H2Matrix:
         return (self.n, self.n)
 
     def copy(self):
-        """Structure-sharing copy with private contiguous per-block payloads."""
-        return H2Matrix.blockwise(
-            self.tree,
-            self.btree,
-            self.basis,
-            {k: v.copy() for k, v in self.coupling.items()},
-            {k: v.copy() for k, v in self.dense.items()},
-            self.params,
-        )
+        """Structure-sharing copy with private payloads, one new buffer per row."""
+        return H2Matrix(self.tree, self.btree, self.basis,
+                        _moved_rows(dict(self.coupling)), _moved_rows(dict(self.dense)),
+                        self.params)
 
     def rank_per_level(self):
         """level -> max basis rank over clusters at that level."""
@@ -575,9 +572,7 @@ def _near_field(tree, btree, oracle):
     The oracle computes every entry on its own from a symmetric kernel, so
     each view equals oracle(indices(t), indices(s)) bit for bit.
     """
-    by_target = {}
-    for t, s in btree.inadmissible:
-        by_target.setdefault(t, []).append(s)
+    by_target = _by_target(btree.inadmissible)
     size = [c.size for c in tree.clusters]
     dense = {}
     for t, sources in by_target.items():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 
@@ -44,6 +45,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be in (0, 1)")
         if self.solver not in ("iterative", "direct", "both"):
             raise ValueError("solver must be iterative | direct | both")
+        if self.svd_dim not in (0, 1, 2, 3):
+            raise ValueError(f"svd_dim must be 0, 1, 2 or 3, got {self.svd_dim}")
+        if not all(math.isfinite(v) and v > 0 for v in self.svd_sizes):
+            raise ValueError(f"svd_sizes must be finite and > 0, got {self.svd_sizes}")
 
 
 # annotations are strings under `from __future__ import annotations`

@@ -8,6 +8,14 @@ from h2vie.config import ExperimentConfig, load_config
 from h2vie.linalg import CompressionParams
 
 
+# two-body SVD settings that no study can run, and the key each one names
+_RANK_STUDY_SETTINGS = [
+    ("svd_dim=5", "svd_dim"), ("svd_dim=-1", "svd_dim"), ("svd_sizes=-1", "svd_sizes"),
+    ("svd_sizes=0.5,0", "svd_sizes"), ("svd_sizes=nan", "svd_sizes"),
+    ("svd_sizes=1,inf", "svd_sizes"),
+]
+
+
 class TestConfig:
     def test_defaults_are_valid(self):
         cfg = ExperimentConfig()
@@ -39,6 +47,11 @@ class TestConfig:
             load_config(None, overrides=["tol=2.0"])
         with pytest.raises(ValueError):
             load_config(None, overrides=["solver=magic"])
+
+    @pytest.mark.parametrize("setting,key", _RANK_STUDY_SETTINGS)
+    def test_bad_rank_study_settings_named(self, setting, key):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            load_config(None, overrides=[setting])
 
 
 class TestCsv:
@@ -333,6 +346,18 @@ class TestCli:
             "rank-study", "--set", "sweep=", "--set", f"out={tmp_path/'r.csv'}",
         ])
         assert rc == 1
+
+    @pytest.mark.parametrize("setting,key", _RANK_STUDY_SETTINGS)
+    def test_bad_rank_study_settings_fail_before_any_build(self, tmp_path, capsys,
+                                                            monkeypatch, setting, key):
+        def no_build(*args):
+            raise AssertionError("built before the settings were checked")
+
+        monkeypatch.setattr(bench, "_build", no_build)
+        rc = main(["rank-study", "--set", "sweep=1,2", "--set", "n_min=8",
+                   "--set", setting, "--set", f"out={tmp_path/'r.csv'}"])
+        assert rc == 1
+        assert f"config error: {key} must be" in capsys.readouterr().err
 
     def test_rank_study_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
