@@ -1,15 +1,16 @@
 """Arithmetic on the nested low-rank representation.
 
 Matrix-vector products run on the block-row layout of H2Matrix in the
-padded slot layout of NestedBasis.schedule(): every cluster of tree level
+padded slot layout of NestedBasis.schedule: every cluster of tree level
 l owns an equal slot of k_l rows (the level's largest rank) in one
 rank-space vector, and every leaf an equal slot of n_max rows (the
 largest leaf size) in a leaf-slot vector, with zeros in the padding. The
 input is scattered once into the leaf slots. A forward sweep up the tree
-fills the rank-space vector with one stacked product per level, one
-product per block row applies the couplings, a backward sweep pushes the
-result down with one stacked product per level, one product per block
-row adds the near field, and the result is gathered back once. The
+fills the rank-space vector with one stacked product per level, each
+with the level's basis stack (the one store of the bases), one product
+per block row applies the couplings, a backward sweep pushes the result
+down with one stacked product per level, one product per block row adds
+the near field, and the result is gathered back once. The
 coupling and near-field rows read their inputs from panels, each one
 gather of the inputs of consecutive whole rows and no larger than one
 column of the stage's own input block, or than one row.
@@ -131,15 +132,15 @@ def _apply_slots(h2, xs):
     """Apply the representation to an (n_rows, q) leaf-slot block.
 
     All cluster coefficients live in one rank-space block in the padded
-    slot layout of NestedBasis.schedule(), so each sweep step is one
-    np.matmul over a whole tree level. The forward sweep fills it leaves
-    first, each level from the slots below it; each block row of couplings
-    adds one product into the output coefficients, the backward sweep
-    pushes them down level by level into the leaf slots, and each block
-    row of the near field adds one product into the result. Both row
-    stages gather their inputs in panels (_add_rows).
+    slot layout of NestedBasis.schedule, so each sweep step is one
+    np.matmul with a whole tree level's basis stack. The forward sweep
+    fills it leaves first, each level from the slots below it; each block
+    row of couplings adds one product into the output coefficients, the
+    backward sweep pushes them down level by level into the leaf slots,
+    and each block row of the near field adds one product into the
+    result. Both row stages gather their inputs in panels (_add_rows).
     """
-    sched = h2.basis.schedule()
+    sched = h2.basis.schedule
     q = xs.shape[1]
     # forward transform: x^c = V_c^T x|_c, children first
     xr = np.empty((sched.size, q), dtype=np.complex128)
@@ -213,7 +214,7 @@ def matmat_apply(h2, rhs_block):
     """Apply to an (n, q) dense block, all q columns in one sweep.
 
     The block is scattered once into the leaf slots of the padded layout
-    (NestedBasis.schedule(): each leaf's points in cluster order at the
+    (NestedBasis.schedule: each leaf's points in cluster order at the
     head of an equal slot, zeros in the padding), applied there, and the
     result is gathered back into the original ordering. Each row stage
     gathers its inputs in panels of whole rows (see _add_rows), so the
@@ -223,7 +224,7 @@ def matmat_apply(h2, rhs_block):
     rhs_block = np.asarray(rhs_block, dtype=np.complex128)
     if rhs_block.ndim != 2 or rhs_block.shape[0] != h2.n:
         raise ValueError(f"expected ({h2.n}, q) block")
-    sched = h2.basis.schedule()
+    sched = h2.basis.schedule
     xs = np.zeros((sched.n_rows, rhs_block.shape[1]), dtype=np.complex128)
     xs[sched.leaf_rows] = rhs_block
     return _apply_slots(h2, xs)[sched.leaf_rows]
@@ -736,8 +737,11 @@ def apply_inverse_solve(inv, e, operator=None):
     Passing the forward operator adds one residual-correction sweep
     (x += S^{-1}(e - S x)), which squares the effective inverse accuracy at
     the cost of two extra applications; standard practice when the direct
-    inverse is itself an approximation.
+    inverse is itself an approximation. An operator of another shape than
+    the inverse's is refused before any apply.
     """
+    if operator is not None and operator.shape != inv.shape:
+        raise ValueError(f"operator shape {operator.shape} differs from inverse's {inv.shape}")
     e = np.asarray(e, dtype=np.complex128)
     _check_finite("excitation", e)
     apply_one = matvec if e.ndim == 1 else matmat_apply

@@ -22,7 +22,10 @@ leaves those rows come projected onto the children's bases, as the
 coefficients s_k Vh_k that each child's SVD hands to its parent. Each
 admissible block then reduces to a small coupling matrix between two
 bases; inadmissible leaf blocks stay dense. Every rank in the build is
-chosen by linalg.truncated_svd.
+chosen by linalg.truncated_svd. Stage II hands its leaf bases and
+transfers to NestedBasis once, which writes each into its slot of the
+zero-padded per-level stacks that the apply multiplies by: those stacks
+are the only copy of the bases.
 
 The shared form V_t S_{t,s} V_s^T needs the columns of S_{t,s}, that is
 the rows of S_{s,t}^T = diag(chi_s) K_{s,t}, to lie in span(V_s). Only a
@@ -89,7 +92,8 @@ class SweepSchedule:
     or [T_lo; T_hi] with each transfer at its child's slot, and zeros
     elsewhere, so one np.matmul over reshaped views of a whole level is
     the forward step (stack^T) or the backward step (stack), and padding
-    stays zero.
+    stays zero. The stacks are the only store of the bases: NestedBasis
+    hands out views into them.
     """
 
     size: int  # rank-space rows: sum over levels of 2^l k_l
@@ -101,46 +105,34 @@ class SweepSchedule:
 
 
 class NestedBasis:
-    """One shared family of nested cluster bases (leaf V's plus transfers)."""
+    """One shared family of nested cluster bases (leaf V's plus transfers).
 
-    def __init__(self, tree):
+    Built once, from Stage II's factors: mats maps every cluster to its U,
+    a leaf's basis V_c or a non-leaf's stacked [T_lo; T_hi]. Each U is
+    written once into its slot of its level's stack in the padded layout
+    of the apply, and `schedule` is that layout (SweepSchedule). The stacks
+    are the only store of the bases: leaf_v[c] and both transfers[c] are
+    views of their own rows and columns of a stack, so their nbytes are
+    the logical sizes, without the padding.
+    """
+
+    def __init__(self, tree, mats):
         self.tree = tree
+        self.ranks = {cid: u.shape[1] for cid, u in mats.items()}
         self.leaf_v = {}
-        self.transfers = {}  # cid -> (T_child_lo, T_child_hi), views of one [T_lo; T_hi]
-        self.ranks = {}
+        self.transfers = {}  # cid -> (T_child_lo, T_child_hi), views into a stack
         self._mat = {}  # materialization cache
         self._mat_conj = {}  # conj(V) cache
         self._transfers_conj = {}  # cid -> (conj(T_lo), conj(T_hi)) cache
         self._overlap = {}  # V^T V cache (needed by formatted products)
-        self._schedule = None  # apply-sweep cache
-
-    def rank(self, cid):
-        return self.ranks.get(cid, 0)
-
-    def set_basis(self, cid, p):
-        """Store p: a leaf's basis, or a non-leaf's stacked [T_lo; T_hi]."""
-        c = self.tree.cluster(cid)
-        if c.is_leaf:
-            self.leaf_v[cid] = p
-        else:
-            k_lo = self.rank(c.child_lo)
-            self.transfers[cid] = (p[:k_lo], p[k_lo:])
-        self.ranks[cid] = p.shape[1]
-        self._schedule = None
-
-    def schedule(self):
-        """Slot layout and stacked sweep steps of the apply, cached."""
-        if self._schedule is not None:
-            return self._schedule
-        tree = self.tree
-        slot = [max(self.rank(cid) for cid in level) for level in tree.levels]
+        slot = [max(self.ranks[cid] for cid in level) for level in tree.levels]
         spans = [None] * len(tree)
         first = []  # first rank-space row of each level
         size = 0
         for level, k in zip(tree.levels, slot):
             first.append(size)
             for p, cid in enumerate(level):
-                spans[cid] = (size + p * k, size + p * k + self.rank(cid))
+                spans[cid] = (size + p * k, size + p * k + self.ranks[cid])
             size += len(level) * k
         leaves = tree.levels[-1]
         n_slot = max(tree.cluster(cid).size for cid in leaves)
@@ -155,20 +147,23 @@ class NestedBasis:
             level, k = tree.levels[lvl], slot[lvl]
             stack = np.zeros((len(level), n_in, k), dtype=np.complex128)
             for p, cid in enumerate(level):
-                if self.rank(cid) == 0:
-                    continue
-                c = tree.cluster(cid)
+                c, u = tree.cluster(cid), mats[cid]
+                cols = stack[p, :, :u.shape[1]]  # the cluster's own columns of its slot
                 if c.is_leaf:
-                    v = self.leaf_v[cid]
-                    stack[p, :v.shape[0], :v.shape[1]] = v
+                    v = self.leaf_v[cid] = cols[:u.shape[0]]
+                    v[...] = u
                     continue
-                for half, t in zip((0, slot[lvl + 1]), self.transfers[cid]):
-                    stack[p, half:half + t.shape[0], :t.shape[1]] = t
+                k_lo, at = self.ranks[c.child_lo], slot[lvl + 1]  # T_hi at its child's slot
+                t_lo, t_hi = self.transfers[cid] = (cols[:k_lo], cols[at:at + u.shape[0] - k_lo])
+                t_lo[...] = u[:k_lo]
+                t_hi[...] = u[k_lo:]
             lo, hi = first[lvl], first[lvl] + len(level) * k
             steps.append((lo, hi, c_lo, c_hi, stack))
             c_lo, c_hi, n_in = lo, hi, 2 * k
-        self._schedule = SweepSchedule(size, spans, n_rows, cells, leaf_rows, steps)
-        return self._schedule
+        self.schedule = SweepSchedule(size, spans, n_rows, cells, leaf_rows, steps)
+
+    def rank(self, cid):
+        return self.ranks[cid]
 
     def apply_vh(self, cid, x):
         """V_c^H @ x without materializing non-leaf bases."""
@@ -316,14 +311,14 @@ class H2Matrix:
     [D_{t,s1} | D_{t,s2} | ...] for the near field, so one product applies
     a whole row. `coupling` and `dense` then map each block to its view
     into that buffer. Each row's target rows and source indices are in the
-    slot coordinates of NestedBasis.schedule(): rank-space slots for the
-    couplings, leaf slots for the near field. Each stage has one gather
-    index, far_src and near_src: its rows' source indices concatenated in
-    row order, so a row (lo, hi, buf, src) holds src as a slice into it and
-    adds buf @ x[gather][src] to y[lo:hi]. Every H2Matrix has this layout,
-    the results of h2vie.arith included. Payloads are mutated in place
-    only: rebinding a dict entry would detach it from the buffer that the
-    apply reads.
+    slot coordinates of basis.schedule, the layout that the basis is
+    stored in: rank-space slots for the couplings, leaf slots for the near
+    field. Each stage has one gather index, far_src and near_src: its
+    rows' source indices concatenated in row order, so a row (lo, hi,
+    buf, src) holds src as a slice into it and adds buf @ x[gather][src]
+    to y[lo:hi]. Every H2Matrix has this layout, the results of
+    h2vie.arith included. Payloads are mutated in place only: rebinding a
+    dict entry would detach it from the buffer that the apply reads.
     """
 
     tree: cl.ClusterTree
@@ -338,7 +333,7 @@ class H2Matrix:
     near_src: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sched = self.basis.schedule()
+        sched = self.basis.schedule
         self.far_rows, self.coupling, self.far_src = _block_rows(
             self.coupling, sched.spans.__getitem__)
         self.near_rows, self.dense, self.near_src = _block_rows(
@@ -482,13 +477,14 @@ def build_bases(tree, abs_map, params):
     columns of the children's own row factors: each ancestor's factor is
     projected once, by the SVDs on the way up, and never again from the
     leaves. A zero or empty X_c gives an empty basis of the right shape.
-    Every cluster gets a basis. The Stage I factors are only read.
+    Every cluster gets a basis, and the NestedBasis is built once from
+    all of them. The Stage I factors are only read.
     """
     mirrors = _mirrors(abs_map)
     sigma = {t: np.linalg.norm(f.a, axis=0) for t, f in abs_map.items()}
     widths = {j: f.rank + sum(b.shape[1] for _, b in mirrors.get(j, []))
               for j, f in abs_map.items()}
-    basis = NestedBasis(tree)
+    mats = {}  # cid -> U_k: a leaf's basis, a non-leaf's [T_lo; T_hi]
     coeffs = {}  # cid -> s_k Vh_k, until its parent takes it
     for level in reversed(tree.levels):
         for cid in level:
@@ -504,9 +500,9 @@ def build_bases(tree, abs_map, params):
             else:
                 x = np.vstack([coeffs.pop(k)[:, widths[k]:] for k in c.children()])
             u, s, vh = truncated_svd(x, params.eps_acc)
-            basis.set_basis(cid, u)
+            mats[cid] = u
             coeffs[cid] = s[:, None] * vh
-    return basis
+    return NestedBasis(tree, mats)
 
 
 def build_coupling(btree, abs_map, basis, tree):

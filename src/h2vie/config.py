@@ -45,6 +45,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be in (0, 1)")
         if self.solver not in ("iterative", "direct", "both"):
             raise ValueError("solver must be iterative | direct | both")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.svd_dim not in (0, 1, 2, 3):
             raise ValueError(f"svd_dim must be 0, 1, 2 or 3, got {self.svd_dim}")
         if not all(math.isfinite(v) and v > 0 for v in self.svd_sizes):

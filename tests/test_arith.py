@@ -208,7 +208,7 @@ def _assert_applies_materialized(h2, x, rel=1e-13):
 
 
 class TestSlotApply:
-    """The apply in the padded slot layout of NestedBasis.schedule()."""
+    """The apply in the padded slot layout of NestedBasis.schedule."""
 
     @pytest.mark.parametrize("q", [1, 3, 300])
     @pytest.mark.parametrize("name", ["rod130", "slab35", "cube533"])
@@ -237,13 +237,13 @@ class TestSlotApply:
         h2 = build.build_h2(geom, kernel.KernelParams(k0=K0),
                             CompressionParams(1e-4, 1e-4), n_min=32)
         assert h2.tree.depth == 1 and not h2.coupling
-        assert len(h2.basis.schedule().steps) == 1
+        assert len(h2.basis.schedule.steps) == 1
         _assert_applies_materialized(h2, _cvec(rng, h2.n)[:, None])
 
     def test_rank_zero_levels(self, rng):
         # identity model: every basis has rank 0, so every level's slots are empty
         geom, h2 = _identity_h2()
-        sched = h2.basis.schedule()
+        sched = h2.basis.schedule
         assert sched.size == 0 and len(sched.steps) == h2.tree.depth > 1
         x = rng.standard_normal((h2.n, 3)) + 1j * rng.standard_normal((h2.n, 3))
         assert np.array_equal(matmat_apply(h2, x), x)
@@ -252,7 +252,7 @@ class TestSlotApply:
     def test_one_stacked_step_per_level(self, name, request):
         h2 = request.getfixturevalue(name)[2]
         tree, basis = h2.tree, h2.basis
-        sched = basis.schedule()
+        sched = basis.schedule
         assert len(sched.steps) == tree.depth
         for lvl, (lo, hi, c_lo, c_hi, stack) in zip(reversed(range(tree.depth)),
                                                     sched.steps):
@@ -270,7 +270,14 @@ class TestSlotApply:
                 expect = np.zeros((n_in, k), dtype=complex)
                 for row, b in blocks:
                     expect[row:row + b.shape[0], :b.shape[1]] = b
+                    assert b.base is stack  # a view into its level's stack, no copy
                 assert np.array_equal(stack[pos], expect)
+        # the stacks are the bases' only store: nothing else lies behind the views
+        views = [*basis.leaf_v.values(), *(t for pair in basis.transfers.values() for t in pair)]
+        owners = {id(v.base): v.base for v in views}
+        assert len(owners) == tree.depth
+        assert (sum(a.nbytes for a in owners.values())
+                == sum(stack.nbytes for *_, stack in sched.steps))
 
 
 def _rows_one_gather_each(y, x, rows, gather):
@@ -839,6 +846,24 @@ class TestInverseSolve:
         out = apply_inverse_solve(inv, block)
         for j in range(3):
             assert np.allclose(out[:, j], matvec(inv, block[:, j]), atol=1e-14)
+
+    def test_operator_of_another_shape_refused_before_any_apply(self, rod164,
+                                                                monkeypatch):
+        _, _, h2, _ = rod164
+        geom = kernel.generate_geometry("slab", [1.0, 1.0], 10, K0)
+        other = build.build_h2(geom, kernel.KernelParams(k0=K0),
+                               CompressionParams(1e-4, 1e-4), n_min=16)
+        assert other.shape != h2.shape
+
+        def no_apply(*args):
+            raise AssertionError("applied before the shapes were checked")
+
+        monkeypatch.setattr(arith, "matvec", no_apply)
+        monkeypatch.setattr(arith, "matmat_apply", no_apply)
+        e = np.ones(other.n, dtype=complex)
+        with pytest.raises(ValueError, match=rf"operator shape \({h2.n}, {h2.n}\) differs "
+                                             rf"from inverse's \({other.n}, {other.n}\)"):
+            apply_inverse_solve(other, e, operator=h2)
 
     def test_non_finite_excitation_named(self, rod164):
         _, _, h2, _ = rod164

@@ -14,6 +14,8 @@ _RANK_STUDY_SETTINGS = [
     ("svd_sizes=0.5,0", "svd_sizes"), ("svd_sizes=nan", "svd_sizes"),
     ("svd_sizes=1,inf", "svd_sizes"),
 ]
+# solver settings that no solve can run, and the key each one names
+_SOLVER_SETTINGS = [("max_iter=0", "max_iter"), ("seed=-1", "seed")]
 
 
 class TestConfig:
@@ -51,6 +53,11 @@ class TestConfig:
     @pytest.mark.parametrize("setting,key", _RANK_STUDY_SETTINGS)
     def test_bad_rank_study_settings_named(self, setting, key):
         with pytest.raises(ValueError, match=f"^{key} must be"):
+            load_config(None, overrides=[setting])
+
+    @pytest.mark.parametrize("setting,key", _SOLVER_SETTINGS)
+    def test_bad_solver_settings_named(self, setting, key):
+        with pytest.raises(ValueError, match=f"^{key} must be >= "):
             load_config(None, overrides=[setting])
 
 
@@ -358,6 +365,20 @@ class TestCli:
                    "--set", setting, "--set", f"out={tmp_path/'r.csv'}"])
         assert rc == 1
         assert f"config error: {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "scaling-study"])
+    @pytest.mark.parametrize("setting,key", _SOLVER_SETTINGS)
+    def test_bad_solver_settings_fail_before_any_build(self, tmp_path, capsys,
+                                                       monkeypatch, command, setting, key):
+        def no_build(*args):
+            raise AssertionError("built before the settings were checked")
+
+        monkeypatch.setattr(bench, "_build", no_build)
+        rc = main([command, "--set", "sweep=4,8,16", "--set", "n_min=8",
+                   "--set", setting, "--set", f"out={tmp_path/'s.csv'}",
+                   "--set", f"solution_out={tmp_path/'sol.txt'}"])
+        assert rc == 1
+        assert f"config error: {key} must be >= " in capsys.readouterr().err
 
     def test_rank_study_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

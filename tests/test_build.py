@@ -180,7 +180,7 @@ class TestNearField:
         dense = build._near_field(h2.tree, h2.btree, kernel.entry_oracle(geom, kp))
         m = build.H2Matrix(h2.tree, h2.btree, h2.basis, dict(h2.coupling), dense,
                            h2.params)
-        cells = h2.basis.schedule().cells
+        cells = h2.basis.schedule.cells
         for start, stop, buf, _ in m.near_rows:
             views = [d for (t, _), d in dense.items() if cells[t] == (start, stop)]
             assert views and all(buf is view.base for view in views)
@@ -340,7 +340,7 @@ class TestCoupling:
         coupling = build.build_coupling(btree, abs_map, basis, tree)
         assert list(coupling) == btree.admissible
         m = build.H2Matrix(tree, btree, basis, coupling, {}, params)
-        spans = basis.schedule().spans
+        spans = basis.schedule.spans
         assert m.far_rows
         for lo, hi, buf, _ in m.far_rows:
             views = [v for (t, _), v in coupling.items()
