@@ -49,6 +49,14 @@ The formatted product and the inverse run their BLAS calls at one thread
 (_one_blas_thread): their many small GEMMs run slower split across
 threads.
 
+Precision: the payloads of an H2Matrix are complex64 when its eps_acc is
+at least 1e-4 and complex128 below (CompressionParams.payload_dtype).
+Only the apply's two row stages run in that dtype; the sweeps, the
+inputs and outputs of matvec and matmat_apply, BiCGStab and the formatted
+arithmetic stay complex128. The product and the inverse read their
+operands' payloads upcast, exactly, work on complex128 blocks, and round
+once as _pack writes their result in its params' payload dtype.
+
 Because the bases are complex with V^H V = I while blocks are represented
 as V_t S V_s^T (plain transpose), every product and projection rule below
 carries an explicit conjugation; nothing relies on V^T V being identity.
@@ -87,11 +95,12 @@ class _Blocks:
     """A private working copy: one C-contiguous array per block, no apply rows.
 
     It shares m's cluster tree, block tree and bases, and maps (t, s) to
-    its own (k_t, k_s) coupling and (#t, #s) dense blocks. The formatted
-    product adds into each leaf target block by one zgemm on its Fortran
-    view, which needs a block that owns contiguous memory; an H2Matrix's
-    blocks are column views of its row buffers. So the product and the
-    inverse write into these, and _pack moves the result into an H2Matrix.
+    its own (k_t, k_s) coupling and (#t, #s) dense blocks, complex128
+    whatever m's payload dtype. The formatted product adds into each leaf
+    target block by one zgemm on its Fortran view, which needs a block
+    that owns contiguous memory; an H2Matrix's blocks are column views of
+    its row buffers. So the product and the inverse write into these, and
+    _pack moves the result into an H2Matrix.
     """
 
     def __init__(self, m, coupling, dense):
@@ -100,20 +109,21 @@ class _Blocks:
 
 
 def _working_copy(m):
-    """_Blocks holding a contiguous copy of every block of m."""
-    return _Blocks(m, {k: v.copy() for k, v in m.coupling.items()},
-                   {k: v.copy() for k, v in m.dense.items()})
+    """_Blocks holding a contiguous complex128 copy of every block of m."""
+    return _Blocks(m, {k: v.astype(np.complex128) for k, v in m.coupling.items()},
+                   {k: v.astype(np.complex128) for k, v in m.dense.items()})
 
 
 def _pack(w, params):
     """Move the blocks of working copy w into an H2Matrix, one block row at a time.
 
-    w is emptied: each block is dropped as soon as its row is built, so
-    packing costs one row beyond the payload as long as nothing else
-    refers to w's blocks.
+    The rows take params.payload_dtype. w is emptied: each block is
+    dropped as soon as its row is built, so packing costs one row beyond
+    the payload as long as nothing else refers to w's blocks.
     """
-    return H2Matrix(w.tree, w.btree, w.basis, _moved_rows(w.coupling),
-                    _moved_rows(w.dense), params)
+    dtype = params.payload_dtype
+    return H2Matrix(w.tree, w.btree, w.basis, _moved_rows(w.coupling, dtype),
+                    _moved_rows(w.dense, dtype), params)
 
 
 @dataclass
@@ -139,8 +149,15 @@ def _apply_slots(h2, xs):
     backward sweep pushes them down level by level into the leaf slots,
     and each block row of the near field adds one product into the
     result. Both row stages gather their inputs in panels (_add_rows).
+
+    The sweeps run in complex128 and the row stages in the payloads'
+    dtype (H2Matrix): the rank-space block is cast once for the coupling
+    rows and their result cast back before the backward sweep, and xs is
+    cast once for the near-field rows, which add into the complex128
+    result. With complex128 payloads no cast is made.
     """
     sched = h2.basis.schedule
+    dtype = h2.params.payload_dtype
     q = xs.shape[1]
     # forward transform: x^c = V_c^T x|_c, children first
     xr = np.empty((sched.size, q), dtype=np.complex128)
@@ -151,8 +168,9 @@ def _apply_slots(h2, xs):
                   out=xr[lo:hi].reshape(p, k, q))
         below = xr
     # coupling products: y^t += [S^{t,s1} | S^{t,s2} | ...] [x^s1; x^s2; ...]
-    yr = np.zeros_like(xr)
-    _add_rows(yr, xr, h2.far_rows, h2.far_src)
+    yr = np.zeros_like(xr, dtype=dtype)
+    _add_rows(yr, xr.astype(dtype, copy=False), h2.far_rows, h2.far_src)
+    yr = yr.astype(np.complex128, copy=False)
     # backward transform: parents before children, expand at the leaves
     leaf_step, *inner = sched.steps
     for lo, hi, c_lo, c_hi, stack in reversed(inner):
@@ -163,7 +181,7 @@ def _apply_slots(h2, xs):
     p, _, k = stack.shape
     ys = (stack @ yr[lo:hi].reshape(p, k, q)).reshape(sched.n_rows, q)
     # near field, one block row per leaf cluster
-    _add_rows(ys, xs, h2.near_rows, h2.near_src)
+    _add_rows(ys, xs.astype(dtype, copy=False), h2.near_rows, h2.near_src)
     return ys
 
 
@@ -623,8 +641,10 @@ def _subtree_leaves(m, t, s, upper=False):
 def _fresh_block(m, t, s):
     """Zero-initialized _Blocks accumulator covering only the (t, s) subtree of m."""
     leaves = _subtree_leaves(m, t, s)
-    return _Blocks(m, {k: np.zeros_like(p[k]) for k, p in leaves if p is m.coupling},
-                   {k: np.zeros_like(p[k]) for k, p in leaves if p is m.dense})
+    return _Blocks(m, {k: np.zeros(p[k].shape, np.complex128) for k, p in leaves
+                       if p is m.coupling},
+                   {k: np.zeros(p[k].shape, np.complex128) for k, p in leaves
+                    if p is m.dense})
 
 
 def _zero_subtree(m, t, s):

@@ -399,7 +399,9 @@ def verify_suite(cfg=None):
             arith.matvec(h2, 2.0 * x1 + 3j * x2)
             - 2.0 * arith.matvec(h2, x1) - 3j * arith.matvec(h2, x2)
         ) / np.linalg.norm(arith.matvec(h2, x1))
-        results.append((f"{shape}: matvec linearity", lin <= 1e-12, f"{lin:.2e}"))
+        # complex64 payloads round the apply in single precision (see arith)
+        lin_bound = 1e-12 if h2.params.payload_dtype == np.complex128 else 1e-6
+        results.append((f"{shape}: matvec linearity", lin <= lin_bound, f"{lin:.2e}"))
 
         err = build.rep_error(h2, dense)
         results.append((f"{shape}: representation error below 0.8%",

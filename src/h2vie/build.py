@@ -38,7 +38,11 @@ bit too, so each dense block still equals its own oracle sample.
 
 The resulting H2Matrix is immutable in spirit: arithmetic lives in
 h2vie.arith and mutates explicit copies only. Its payloads are stored per
-block row (see H2Matrix) so that one product serves a whole row.
+block row (see H2Matrix) so that one product serves a whole row, in the
+precision that CompressionParams.payload_dtype names: complex64 when
+eps_acc >= 1e-4, complex128 below. The build itself runs in complex128,
+and build_coupling and _near_field round each entry once, as they write
+it into its row.
 """
 
 from __future__ import annotations
@@ -139,7 +143,7 @@ class NestedBasis:
         cells = {cid: (p * n_slot, p * n_slot + tree.cluster(cid).size)
                  for p, cid in enumerate(leaves)}
         leaf_rows = np.empty(tree.n_points, dtype=np.intp)
-        leaf_rows[tree.perm] = np.concatenate([np.arange(*cells[cid]) for cid in leaves])
+        leaf_rows[tree.perm] = _ranges([cells[cid] for cid in leaves])
         steps = []
         n_rows = len(leaves) * n_slot
         c_lo, c_hi, n_in = 0, n_rows, n_slot  # rows read, and rows per slot
@@ -251,8 +255,16 @@ def _by_target(keys):
     return out
 
 
-def _block_rows(blocks, span):
-    """Group (t, s) -> payload blocks by target cluster into apply rows.
+def _ranges(spans):
+    """np.concatenate([np.arange(lo, hi) for lo, hi in spans]) in one pass."""
+    lo, hi = np.array(spans, dtype=np.intp).reshape(-1, 2).T
+    sizes = hi - lo
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(lo - ends + sizes, sizes)
+
+
+def _block_rows(blocks, span, dtype):
+    """Group (t, s) -> payload blocks by target cluster into apply rows of `dtype`.
 
     Returns (rows, views, gather). The blocks of one row sit side by side
     in one buffer, views maps each block to its view into the buffer, and
@@ -260,43 +272,43 @@ def _block_rows(blocks, span):
     concatenated in row order. A row (lo, hi, buf, src) adds
     buf @ x[gather][src] to y[lo:hi], where span(c) is cluster c's (lo, hi)
     rows in x and y and src is the row's slice of gather. Blocks that
-    already tile one array in row order (build_h2's couplings and near
-    field, _moved_rows' rows) keep that array as the buffer, others are
-    copied into a new one. Empty blocks join no row.
+    already tile one array of `dtype` in row order (build_h2's couplings and
+    near field, _moved_rows' rows) keep that array as the buffer, others
+    are copied into a new one, rounded to `dtype` entry by entry. Empty
+    blocks join no row.
     """
     by_target = _by_target(key for key, p in blocks.items() if p.size)
     views = dict(blocks)
     rows = []
-    indices = []
+    spans = []
     end = 0
     for t, sources in by_target.items():
         parts = [blocks[(t, s)] for s in sources]
         buf = _row_owner(parts)
-        if buf is None:
-            buf = np.concatenate(parts, axis=1)
+        if buf is None or buf.dtype != dtype:
+            buf = np.concatenate(parts, axis=1, dtype=dtype)
         views.update(zip([(t, s) for s in sources],
                          _column_views(buf, [p.shape[1] for p in parts])))
-        indices.extend(np.arange(*span(s)) for s in sources)
+        spans.extend(span(s) for s in sources)
         rows.append((*span(t), buf, slice(end, end + buf.shape[1])))
         end += buf.shape[1]
-    gather = np.concatenate(indices) if indices else np.empty(0, dtype=np.intp)
-    return rows, views, gather
+    return rows, views, _ranges(spans)
 
 
-def _moved_rows(blocks):
-    """Move the (t, s) -> payload blocks into one new buffer per target row.
+def _moved_rows(blocks, dtype):
+    """Move the (t, s) -> payload blocks into one new `dtype` buffer per target row.
 
     Returns each block's view into its row, rows in the order their
     targets first come in `blocks`. It empties `blocks` one row at a time:
     when the caller holds no other reference to the blocks, each row's
     blocks are freed as soon as the row is built, so the move costs one
-    row beyond the payload. The rows tile, so H2Matrix keeps them as its
-    row buffers without a copy.
+    row beyond the payload. The rows tile and have the dtype asked for, so
+    H2Matrix keeps them as its row buffers without a copy.
     """
     moved = {}
     for t, sources in _by_target(blocks).items():
         parts = [blocks.pop((t, s)) for s in sources]
-        row = np.concatenate(parts, axis=1)
+        row = np.concatenate(parts, axis=1, dtype=dtype)
         moved.update(zip([(t, s) for s in sources],
                          _column_views(row, [p.shape[1] for p in parts])))
     return moved
@@ -319,6 +331,12 @@ class H2Matrix:
     to y[lo:hi]. Every H2Matrix has this layout, the results of
     h2vie.arith included. Payloads are mutated in place only: rebinding a
     dict entry would detach it from the buffer that the apply reads.
+
+    The row buffers have params.payload_dtype: complex64 when eps_acc >=
+    1e-4, complex128 below. The constructor is the one place that applies
+    it, rounding any other payload entry by entry; copy() and the
+    arithmetic's results keep it. Rounding each entry alone keeps a
+    symmetric operator symmetric bit for bit. The bases stay complex128.
     """
 
     tree: cl.ClusterTree
@@ -334,10 +352,11 @@ class H2Matrix:
 
     def __post_init__(self):
         sched = self.basis.schedule
+        dtype = self.params.payload_dtype
         self.far_rows, self.coupling, self.far_src = _block_rows(
-            self.coupling, sched.spans.__getitem__)
+            self.coupling, sched.spans.__getitem__, dtype)
         self.near_rows, self.dense, self.near_src = _block_rows(
-            self.dense, sched.cells.__getitem__)
+            self.dense, sched.cells.__getitem__, dtype)
 
     @property
     def n(self):
@@ -349,9 +368,10 @@ class H2Matrix:
 
     def copy(self):
         """Structure-sharing copy with private payloads, one new buffer per row."""
+        dtype = self.params.payload_dtype
         return H2Matrix(self.tree, self.btree, self.basis,
-                        _moved_rows(dict(self.coupling)), _moved_rows(dict(self.dense)),
-                        self.params)
+                        _moved_rows(dict(self.coupling), dtype),
+                        _moved_rows(dict(self.dense), dtype), self.params)
 
     def rank_per_level(self):
         """level -> max basis rank over clusters at that level."""
@@ -505,7 +525,7 @@ def build_bases(tree, abs_map, params):
     return NestedBasis(tree, mats)
 
 
-def build_coupling(btree, abs_map, basis, tree):
+def build_coupling(btree, abs_map, basis, tree, dtype=np.complex128):
     """Coupling matrix of every admissible leaf from the Stage-I factors.
 
     For an upper pair (t, s > t), S_{t,s} = (V_t^H A_t) (V_s^H B_t|s)^T,
@@ -514,15 +534,18 @@ def build_coupling(btree, abs_map, basis, tree):
     are stacked side by side and projected by one V_s^H per source
     cluster s. The mirror is written as S_{s,t} = S_{t,s}^T, so the
     couplings are symmetric bit for bit (which arith.h2_invert exploits).
-    Each S_{t,s} is written into its view of one row [S_{t,s1} | ...] per
-    target, which H2Matrix keeps as that block row's buffer. Keys come in
-    btree.admissible order, which fixes the summation order of each row.
-    tree goes unused: each factor names its own partners and their rows.
+    Each S_{t,s} is formed in complex128 and written, rounded to `dtype`,
+    into its view of one row [S_{t,s1} | ...] of `dtype` per target, which
+    H2Matrix keeps as that block row's buffer when `dtype` is its payload
+    dtype. Keys come in btree.admissible order, which fixes the summation
+    order of each row. tree goes unused: each factor names its own
+    partners and their rows. The conjugate bases that apply_vh caches are
+    dropped on return, since nothing in the apply reads them.
     """
     coupling = {}
     for t, partners in sorted(btree.partners.items()):
         widths = [basis.rank(s) for s in partners]
-        row = np.empty((basis.rank(t), sum(widths)), dtype=np.complex128)
+        row = np.empty((basis.rank(t), sum(widths)), dtype=dtype)
         coupling.update(zip([(t, s) for s in partners], _column_views(row, widths)))
     proj_a = {t: basis.apply_vh(t, f.a) for t, f in abs_map.items() if f.parts}
     for s, blocks in _mirrors(abs_map).items():
@@ -532,6 +555,8 @@ def build_coupling(btree, abs_map, basis, tree):
             s_ts = coupling[(t, s)]
             np.matmul(proj_a[t], vb_t.T, out=s_ts)
             coupling[(s, t)][...] = s_ts.T
+    basis._mat_conj.clear()
+    basis._transfers_conj.clear()
     return coupling
 
 
@@ -553,27 +578,28 @@ def build_h2(geom, kparams, cparams=None, n_min=32, eta=1.0):
     btree = cl.build_block_tree(tree, eta)
     abs_map = build_all_cluster_ab(tree, btree, oracle, cparams)
     basis = build_bases(tree, abs_map, cparams)
-    coupling = build_coupling(btree, abs_map, basis, tree)
+    coupling = build_coupling(btree, abs_map, basis, tree, cparams.payload_dtype)
     del abs_map  # freed before the near-field rows are allocated: a lower peak
-    dense = _near_field(tree, btree, oracle)
+    dense = _near_field(tree, btree, oracle, cparams.payload_dtype)
     return H2Matrix(tree, btree, basis, coupling, dense, cparams)
 
 
-def _near_field(tree, btree, oracle):
+def _near_field(tree, btree, oracle, dtype=np.complex128):
     """Dense inadmissible leaves, one oracle call per block row's upper part.
 
-    Returns (t, s) -> (#t, #s) views into the row [S_{t,s1} | S_{t,s2} | ...],
-    keyed in btree.inadmissible order. Row t samples its sources s >= t in
-    one call and each (s, t) view is written as the transpose of (t, s).
-    The oracle computes every entry on its own from a symmetric kernel, so
-    each view equals oracle(indices(t), indices(s)) bit for bit.
+    Returns (t, s) -> (#t, #s) views into the row [S_{t,s1} | S_{t,s2} | ...]
+    of `dtype`, keyed in btree.inadmissible order. Row t samples its
+    sources s >= t in one call and each (s, t) view is written as the
+    transpose of (t, s). The oracle computes every entry on its own from a
+    symmetric kernel, so each view equals oracle(indices(t), indices(s))
+    rounded to `dtype` bit for bit.
     """
     by_target = _by_target(btree.inadmissible)
     size = [c.size for c in tree.clusters]
     dense = {}
     for t, sources in by_target.items():
         widths = [size[s] for s in sources]
-        row = np.empty((size[t], sum(widths)), dtype=np.complex128)
+        row = np.empty((size[t], sum(widths)), dtype=dtype)
         dense.update(zip([(t, s) for s in sources], _column_views(row, widths)))
     for t, sources in by_target.items():
         upper = [s for s in sources if s >= t]

@@ -4,7 +4,8 @@ Adaptive cross approximation of sampled blocks, the one accuracy-truncated
 SVD that every rank decision of the build goes through (truncated_svd),
 recompression of low-rank factors through it, and a pivoted dense inverse.
 Everything works on complex128 numpy arrays and is pure (no hidden state),
-so concurrent calls are safe.
+so concurrent calls are safe. CompressionParams also names the precision
+in which an H2Matrix stores its payloads.
 """
 
 from __future__ import annotations
@@ -64,9 +65,21 @@ class LowRankFactor:
         return self.a @ self.b.T
 
 
+# eps_acc from which the couplings and the near field are stored in
+# complex64: the representation is then good to about 1e-5, and complex64's
+# unit roundoff (6e-8) does not touch that
+SINGLE_PAYLOAD_EPS = 1e-4
+
+
 @dataclass
 class CompressionParams:
-    """Tolerances for the two-step compression (cross approximation + SVD trim)."""
+    """Tolerances for the two-step compression (cross approximation + SVD trim).
+
+    They also fix the precision of the stored couplings and near field,
+    payload_dtype: complex64 when eps_acc >= 1e-4, complex128 below. The
+    build, the bases, the sweeps of the apply and the formatted arithmetic
+    work in complex128 either way.
+    """
 
     eps_aca: float = 1e-5
     eps_acc: float = 1e-5
@@ -77,6 +90,11 @@ class CompressionParams:
             raise ValueError("need 0 < eps_acc <= eps_aca < 1")
         if self.max_rank < 1:
             raise ValueError("max_rank must be >= 1")
+
+    @property
+    def payload_dtype(self):
+        """dtype of the couplings and near-field blocks of an H2Matrix."""
+        return np.dtype(np.complex64 if self.eps_acc >= SINGLE_PAYLOAD_EPS else np.complex128)
 
 
 def empty_factor(m, n):

@@ -12,6 +12,8 @@ from h2vie import arith, bench, build, clustering, kernel
 from h2vie.config import ExperimentConfig
 from h2vie.linalg import CompressionParams
 
+from conftest import apply_rtol
+
 K0 = 2.0 * np.pi
 
 ACCEPTANCE_GEOMETRIES = [
@@ -259,7 +261,7 @@ def test_criterion_8_structural_properties(rng):
             - 2.0 * arith.matvec(h2, x1)
             - 3j * arith.matvec(h2, x2)
         ) / np.linalg.norm(arith.matvec(h2, x1))
-        checks.append((f"{tag} linearity", lin <= 1e-12))
+        checks.append((f"{tag} linearity", lin <= apply_rtol(h2, 1e-12)))
 
     ok = all(passed for _, passed in checks)
     failed = [name for name, passed in checks if not passed]

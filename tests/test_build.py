@@ -8,6 +8,8 @@ import pytest
 from h2vie import arith, build, clustering as cl, kernel
 from h2vie.linalg import CompressionParams, aca_factorize, recompress_lowrank
 
+from conftest import apply_rtol
+
 K0 = 2.0 * np.pi
 
 
@@ -170,14 +172,16 @@ class TestNearField:
             tree = h2.tree
             assert list(h2.dense) == h2.btree.inadmissible
             for (t, s), d in h2.dense.items():
-                assert np.array_equal(d, oracle(tree.indices(t), tree.indices(s)))
+                sample = oracle(tree.indices(t), tree.indices(s))
+                assert np.array_equal(d, sample.astype(h2.params.payload_dtype))
         # the rod's leaf rows hold several blocks, so the views are slices
         targets = [t for t, _ in rod164[2].btree.inadmissible]
         assert len(set(targets)) < len(targets)
 
     def test_sampled_rows_become_near_row_buffers(self, rod164):
         geom, kp, h2, _ = rod164
-        dense = build._near_field(h2.tree, h2.btree, kernel.entry_oracle(geom, kp))
+        dense = build._near_field(h2.tree, h2.btree, kernel.entry_oracle(geom, kp),
+                                  h2.params.payload_dtype)
         m = build.H2Matrix(h2.tree, h2.btree, h2.basis, dict(h2.coupling), dense,
                            h2.params)
         cells = h2.basis.schedule.cells
@@ -200,7 +204,7 @@ class TestNearField:
         x = rng.standard_normal((h2.n, 2)) + 1j * rng.standard_normal((h2.n, 2))
         exact = build.materialize(h2) @ x
         err = np.linalg.norm(arith.matmat_apply(m, x) - exact)
-        assert err <= 1e-12 * np.linalg.norm(exact)
+        assert err <= apply_rtol(h2, 1e-12) * np.linalg.norm(exact)
         assert all(np.array_equal(m.dense[k], d) for k, d in h2.dense.items())
 
 
@@ -481,6 +485,20 @@ class TestBuildH2:
         geom = kernel.generate_geometry("rod", [6.4], 10, K0)
         build.build_h2(geom, kernel.KernelParams(k0=K0), CompressionParams(1e-4, 1e-4), n_min=8)
         assert alive == [False]
+
+    def test_conjugate_caches_dropped_after_build(self):
+        # build_coupling's projections fill the conjugate basis caches; the
+        # operator returns without them, and an inverse that refills them
+        # lazily is the inverse formed with them already filled, bit for bit
+        geom = kernel.generate_geometry("slab", [2.0, 2.0], 10, K0)
+        h2 = build.build_h2(geom, kernel.KernelParams(k0=K0), CompressionParams(1e-4, 1e-4),
+                            n_min=16)
+        assert not h2.basis._mat_conj and not h2.basis._transfers_conj
+        first = arith.h2_invert(h2)
+        assert h2.basis._mat_conj and h2.basis._transfers_conj
+        again = arith.h2_invert(h2)
+        for blocks, ref in ((first.coupling, again.coupling), (first.dense, again.dense)):
+            assert all(np.array_equal(p, ref[k]) for k, p in blocks.items())
 
     def test_rep_error_shape_guard(self, rod164):
         _, _, h2, _ = rod164
