@@ -8,12 +8,15 @@ largest leaf size) in a leaf-slot vector, with zeros in the padding. The
 input is scattered once into the leaf slots. A forward sweep up the tree
 fills the rank-space vector with one stacked product per level, each
 with the level's basis stack (the one store of the bases), one product
-per block row applies the couplings, a backward sweep pushes the result
-down with one stacked product per level, one product per block row adds
-the near field, and the result is gathered back once. The
-coupling and near-field rows read their inputs from panels, each one
-gather of the inputs of consecutive whole rows and no larger than one
-column of the stage's own input block, or than one row.
+per block row writes the couplings' result in place, a backward sweep
+pushes it down with one stacked product per level, one product per block
+row writes the near field into a zeroed block that is added once, and
+the result is gathered back once. Each target cluster owns at most one
+row per stage, so no two products write the same rows. The coupling and
+near-field rows read their inputs from panels, each one gather of the
+inputs of consecutive whole rows and no larger than one column of the
+stage's own input block, or than one row; each operator splits its rows
+into panels once per column count and keeps that plan.
 Formatted addition and multiplication keep the block structure and cluster
 bases of the operands fixed, projecting whatever falls outside them; the
 recursive inverse is built from formatted products, subtree zeroing and
@@ -145,20 +148,24 @@ def _apply_slots(h2, xs):
     slot layout of NestedBasis.schedule, so each sweep step is one
     np.matmul with a whole tree level's basis stack. The forward sweep
     fills it leaves first, each level from the slots below it; each block
-    row of couplings adds one product into the output coefficients, the
-    backward sweep pushes them down level by level into the leaf slots,
-    and each block row of the near field adds one product into the
-    result. Both row stages gather their inputs in panels (_add_rows).
+    row of couplings writes its product into the zeroed output
+    coefficients, the backward sweep pushes them down level by level into
+    the leaf slots, and each block row of the near field writes its
+    product into a zeroed leaf-slot block, which is added once into the
+    result. Each target owns at most one row per stage (H2Matrix), so the
+    writes never overlap. Both row stages gather their inputs in panels
+    (_panel_plan).
 
     The sweeps run in complex128 and the row stages in the payloads'
     dtype (H2Matrix): the rank-space block is cast once for the coupling
     rows and their result cast back before the backward sweep, and xs is
-    cast once for the near-field rows, which add into the complex128
-    result. With complex128 payloads no cast is made.
+    cast once for the near-field rows, whose block is added into the
+    complex128 result. With complex128 payloads no cast is made.
     """
     sched = h2.basis.schedule
     dtype = h2.params.payload_dtype
     q = xs.shape[1]
+    far, near = _panel_plan(h2, q)
     # forward transform: x^c = V_c^T x|_c, children first
     xr = np.empty((sched.size, q), dtype=np.complex128)
     below = xs
@@ -167,9 +174,9 @@ def _apply_slots(h2, xs):
         np.matmul(stack.mT, below[c_lo:c_hi].reshape(p, n_in, q),
                   out=xr[lo:hi].reshape(p, k, q))
         below = xr
-    # coupling products: y^t += [S^{t,s1} | S^{t,s2} | ...] [x^s1; x^s2; ...]
+    # coupling products: y^t = [S^{t,s1} | S^{t,s2} | ...] [x^s1; x^s2; ...]
     yr = np.zeros_like(xr, dtype=dtype)
-    _add_rows(yr, xr.astype(dtype, copy=False), h2.far_rows, h2.far_src)
+    _write_rows(yr, xr.astype(dtype, copy=False), far)
     yr = yr.astype(np.complex128, copy=False)
     # backward transform: parents before children, expand at the leaves
     leaf_step, *inner = sched.steps
@@ -181,42 +188,62 @@ def _apply_slots(h2, xs):
     p, _, k = stack.shape
     ys = (stack @ yr[lo:hi].reshape(p, k, q)).reshape(sched.n_rows, q)
     # near field, one block row per leaf cluster
-    _add_rows(ys, xs.astype(dtype, copy=False), h2.near_rows, h2.near_src)
+    near_ys = np.zeros_like(ys, dtype=dtype)
+    _write_rows(near_ys, xs.astype(dtype, copy=False), near)
+    ys += near_ys
     return ys
 
 
-def _panels(rows, limit):
-    """Split a stage's rows into panels of consecutive whole rows.
+def _panel_plan(h2, q):
+    """h2's (coupling, near-field) panel plans for q columns, built once per q.
 
-    Yields (start, stop, part): the rows `part` read gather[start:stop],
-    and stop - start <= limit unless part is a single row.
+    A stage's rows are split into panels of consecutive whole rows that
+    gather at most as many entries as one column of the stage's input, or
+    one row. A gather costs a call whatever its size, so at small q one
+    gather serves many short rows; at large q each row's own gather is
+    already large, and a panel the size of the input only moved the rows'
+    inputs out of cache before their products (q = 64 applies ran about
+    20% slower). One row reads at most the input's rows, as its sources
+    are distinct clusters, so a panel never holds more than the input.
+
+    A plan is [(idx, part)]: the panel gathers x[idx] once, and each row
+    (tgt, buf, src) of part writes buf @ x[idx][src] to y[tgt]. It holds
+    views of the row buffers and gather indices only, so payloads changed
+    in place are applied. It is kept in h2.panel_plans.
     """
-    first = start = 0
-    for i, (_, _, _, src) in enumerate(rows):
-        if src.stop - start > limit and i > first:
-            yield start, src.start, rows[first:i]
-            first, start = i, src.start
-    if rows:
-        yield start, rows[-1][3].stop, rows[first:]
+    plans = h2.panel_plans.get(q)
+    if plans is None:
+        sched = h2.basis.schedule
+        plans = h2.panel_plans[q] = tuple(
+            _stage_plan(rows, gather, n_in // max(q, 1))
+            for rows, gather, n_in in ((h2.far_rows, h2.far_src, sched.size),
+                                       (h2.near_rows, h2.near_src, sched.n_rows)))
+    return plans
 
 
-def _add_rows(y, x, rows, gather):
-    """y[lo:hi] += buf @ x[gather][src] for every block row (lo, hi, buf, src).
+def _stage_plan(rows, gather, limit):
+    """One stage's panels: whole rows, gathering at most `limit` entries or one row."""
+    plan, part, start = [], [], 0
+    for lo, hi, buf, src in rows:
+        if src.stop - start > limit and part:
+            plan.append((gather[start:src.start], part))
+            part, start = [], src.start
+        part.append((slice(lo, hi), buf, slice(src.start - start, src.stop - start)))
+    if part:
+        plan.append((gather[start:], part))
+    return plan
 
-    The inputs of consecutive whole rows are gathered at once, in panels
-    of at most as many entries as one column of x, or of one row.
-    A gather costs a call whatever its size, so at small q one gather
-    serves many short rows; at large q each row's own gather is already
-    large, and a panel the size of x only moved the rows' inputs out of
-    cache before their products (q = 64 applies ran about 20% slower).
-    One row reads at most x's rows, as its sources are distinct clusters,
-    so a panel never holds more than x itself.
+
+def _write_rows(y, x, plan):
+    """y[tgt] = buf @ x[idx][src] for every row of every panel of a stage's plan.
+
+    The rows' targets are disjoint, so each product is written in place
+    into y, which the caller zeroes.
     """
-    n_in, q = x.shape
-    for start, stop, part in _panels(rows, n_in // max(q, 1)):
-        xg = x[gather[start:stop]]
-        for lo, hi, buf, src in part:
-            y[lo:hi] += buf @ xg[src.start - start:src.stop - start]
+    for idx, part in plan:
+        xg = x[idx]
+        for tgt, buf, src in part:
+            np.matmul(buf, xg[src], out=y[tgt])
         del xg  # freed before the next panel is gathered
 
 
@@ -235,9 +262,10 @@ def matmat_apply(h2, rhs_block):
     (NestedBasis.schedule: each leaf's points in cluster order at the
     head of an equal slot, zeros in the padding), applied there, and the
     result is gathered back into the original ordering. Each row stage
-    gathers its inputs in panels of whole rows (see _add_rows), so the
-    gathered inputs never take more memory than the stage's input. Every
-    H2Matrix, an inverse or a formatted product too, is applied this way.
+    gathers its inputs in panels of whole rows (see _panel_plan), so the
+    gathered inputs never take more memory than the stage's input, and
+    writes each row's product in place. Every H2Matrix, an inverse or a
+    formatted product too, is applied this way.
     """
     rhs_block = np.asarray(rhs_block, dtype=np.complex128)
     if rhs_block.ndim != 2 or rhs_block.shape[0] != h2.n:

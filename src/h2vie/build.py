@@ -269,9 +269,10 @@ def _block_rows(blocks, span, dtype):
     Returns (rows, views, gather). The blocks of one row sit side by side
     in one buffer, views maps each block to its view into the buffer, and
     gather is the stage's one index: the rows' source indices in x,
-    concatenated in row order. A row (lo, hi, buf, src) adds
+    concatenated in row order. A row (lo, hi, buf, src) writes
     buf @ x[gather][src] to y[lo:hi], where span(c) is cluster c's (lo, hi)
-    rows in x and y and src is the row's slice of gather. Blocks that
+    rows in x and y and src is the row's slice of gather; grouping by
+    target gives each target at most one row. Blocks that
     already tile one array of `dtype` in row order (build_h2's couplings and
     near field, _moved_rows' rows) keep that array as the buffer, others
     are copied into a new one, rounded to `dtype` entry by entry. Empty
@@ -327,10 +328,14 @@ class H2Matrix:
     stored in: rank-space slots for the couplings, leaf slots for the near
     field. Each stage has one gather index, far_src and near_src: its
     rows' source indices concatenated in row order, so a row (lo, hi,
-    buf, src) holds src as a slice into it and adds buf @ x[gather][src]
-    to y[lo:hi]. Every H2Matrix has this layout, the results of
-    h2vie.arith included. Payloads are mutated in place only: rebinding a
-    dict entry would detach it from the buffer that the apply reads.
+    buf, src) holds src as a slice into it and writes buf @ x[gather][src]
+    to y[lo:hi]; each target cluster owns at most one row per stage.
+    Every H2Matrix has this layout, the results of h2vie.arith included.
+    The apply splits each stage into panels once per column count q and
+    keeps them in panel_plans, which holds views of the row buffers and
+    gather indices only; a new H2Matrix, copy() included, starts with
+    none. Payloads are mutated in place only: rebinding a dict entry would
+    detach it from the buffer that the apply reads.
 
     The row buffers have params.payload_dtype: complex64 when eps_acc >=
     1e-4, complex128 below. The constructor is the one place that applies
@@ -349,6 +354,8 @@ class H2Matrix:
     near_rows: list = field(init=False, repr=False, compare=False)  # leaf slots
     far_src: np.ndarray = field(init=False, repr=False, compare=False)
     near_src: np.ndarray = field(init=False, repr=False, compare=False)
+    # q -> the apply's (coupling, near-field) panel plans, filled by arith
+    panel_plans: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         sched = self.basis.schedule

@@ -12,8 +12,6 @@ from h2vie import arith, bench, build, clustering, kernel
 from h2vie.config import ExperimentConfig
 from h2vie.linalg import CompressionParams
 
-from conftest import apply_rtol
-
 K0 = 2.0 * np.pi
 
 ACCEPTANCE_GEOMETRIES = [
@@ -256,12 +254,8 @@ def test_criterion_8_structural_properties(rng):
 
         x1 = rng.standard_normal(geom.n) + 1j * rng.standard_normal(geom.n)
         x2 = rng.standard_normal(geom.n) + 1j * rng.standard_normal(geom.n)
-        lin = np.linalg.norm(
-            arith.matvec(h2, 2.0 * x1 + 3j * x2)
-            - 2.0 * arith.matvec(h2, x1)
-            - 3j * arith.matvec(h2, x2)
-        ) / np.linalg.norm(arith.matvec(h2, x1))
-        checks.append((f"{tag} linearity", lin <= apply_rtol(h2, 1e-12)))
+        lin = bench.linearity_defect(lambda x: arith.matvec(h2, x), x1, x2)
+        checks.append((f"{tag} linearity", lin <= bench.linearity_bound(h2)))
 
     ok = all(passed for _, passed in checks)
     failed = [name for name, passed in checks if not passed]
