@@ -380,21 +380,20 @@ class TestPanelApply:
     """Each row stage writes its rows in place, gathering inputs in panels of whole rows."""
 
     @pytest.mark.parametrize("q", [1, 3, 16, 64])
-    @pytest.mark.parametrize("eps", [1e-4, 1e-5])
     @pytest.mark.parametrize("name", ROW_NAMES)
-    def test_equals_one_gather_per_row(self, name, eps, q, request, row_families, rng,
+    def test_equals_one_gather_per_row(self, name, q, request, row_families, rng,
                                        monkeypatch):
-        family = _row_family(row_families, request, name, eps)
-        dtype = np.complex64 if eps == 1e-4 else np.complex128
-        n = family["operator"].n
-        x = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
-        for m in family.values():
-            assert m.params.payload_dtype == dtype
-            got = matmat_apply(m, x)
-            with monkeypatch.context() as mp:
-                mp.setattr(arith, "_write_rows", _rows_one_gather_each(m))
-                ref = matmat_apply(m, x)
-            assert np.array_equal(got, ref)
+        for eps, dtype in ((1e-4, np.complex64), (1e-5, np.complex128)):
+            family = _row_family(row_families, request, name, eps)
+            n = family["operator"].n
+            x = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
+            for m in family.values():
+                assert m.params.payload_dtype == dtype
+                got = matmat_apply(m, x)
+                with monkeypatch.context() as mp:
+                    mp.setattr(arith, "_write_rows", _rows_one_gather_each(m))
+                    ref = matmat_apply(m, x)
+                assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-5])
     @pytest.mark.parametrize("name", ROW_NAMES)
