@@ -94,6 +94,51 @@ class SingularLeafError(RuntimeError):
         self.cluster_id = cluster_id
 
 
+class _Explicit:
+    """The explicit bases that one formatted product or inverse derives.
+
+    v(c) is V_c (NestedBasis.materialize), v_conj(c) its conjugate,
+    t_conj(c) the conjugate transfers (conj(T_lo), conj(T_hi)) and vtv(c)
+    the overlap V_c^T V_c, each formed on first use and kept for the rest
+    of the call. One call's working copies (_Blocks) share one, and it is
+    dropped with them when the call returns.
+    """
+
+    def __init__(self, basis):
+        self.basis = basis
+        self.vs, self.v_conjs, self.t_conjs, self.vtvs = {}, {}, {}, {}
+
+    def v(self, cid):
+        return self.basis._explicit(cid, self.vs)
+
+    def v_conj(self, cid):
+        got = self.v_conjs.get(cid)
+        if got is None:
+            got = self.v_conjs[cid] = self.v(cid).conj()
+        return got
+
+    def t_conj(self, cid):
+        got = self.t_conjs.get(cid)
+        if got is None:
+            got = self.t_conjs[cid] = tuple(t.conj() for t in self.basis.transfers[cid])
+        return got
+
+    def vtv(self, cid):
+        """V_c^T V_c (not conjugated), through the transfers above the leaves."""
+        got = self.vtvs.get(cid)
+        if got is None:
+            c = self.basis.tree.cluster(cid)
+            if c.is_leaf:
+                v = self.basis.leaf_v[cid]
+                got = v.T @ v
+            else:
+                lo, hi = c.children()
+                t_lo, t_hi = self.basis.transfers[cid]
+                got = t_lo.T @ self.vtv(lo) @ t_lo + t_hi.T @ self.vtv(hi) @ t_hi
+            self.vtvs[cid] = got
+        return got
+
+
 class _Blocks:
     """A private working copy: one C-contiguous array per block, no apply rows.
 
@@ -103,12 +148,15 @@ class _Blocks:
     target block by one zgemm on its Fortran view, which needs a block
     that owns contiguous memory; an H2Matrix's blocks are column views of
     its row buffers. So the product and the inverse write into these, and
-    _pack moves the result into an H2Matrix.
+    _pack moves the result into an H2Matrix. explicit is the call's
+    _Explicit: a new one for a copy of an H2Matrix, m's own for a copy of
+    a _Blocks.
     """
 
     def __init__(self, m, coupling, dense):
         self.tree, self.btree, self.basis = m.tree, m.btree, m.basis
         self.coupling, self.dense = coupling, dense
+        self.explicit = m.explicit if isinstance(m, _Blocks) else _Explicit(m.basis)
 
 
 def _working_copy(m):
@@ -396,17 +444,16 @@ def h2_add_formatted(target, addend, sign=1):
 # O(k^3) work.
 
 
-def _block_apply(op, u, v, x, trans):
+def _block_apply(op, u, v, x, trans, ex):
     """M[u,v]^T @ x, M = op or op^T if trans; x holds #u rows."""
     key = (v, u) if trans else (u, v)
     kind = op.btree.kind(key)
     if kind == cl.INADMISSIBLE:
         d = op.dense[key]
         return (d if trans else d.T) @ x
-    basis = op.basis
     if kind == cl.ADMISSIBLE:  # M[u,v]^T = V_v S^T V_u^T, or V_v S V_u^T if trans
         smat = op.coupling[key]
-        return basis.materialize(v) @ ((smat if trans else smat.T) @ (basis.materialize(u).T @ x))
+        return ex.v(v) @ ((smat if trans else smat.T) @ (ex.v(u).T @ x))
     tree = op.tree
     out = np.zeros((tree.cluster(v).size, x.shape[1]), dtype=np.complex128)
     u0 = tree.cluster(u).start
@@ -416,11 +463,11 @@ def _block_apply(op, u, v, x, trans):
         x_i = x[cu.start - u0:cu.stop - u0]
         for vj in tree.cluster(v).children():
             cv = tree.cluster(vj)
-            out[cv.start - v0:cv.stop - v0] += _block_apply(op, ui, vj, x_i, trans)
+            out[cv.start - v0:cv.stop - v0] += _block_apply(op, ui, vj, x_i, trans, ex)
     return out
 
 
-def _family(op, u, v, trans, memo):
+def _family(op, u, v, trans, memo, ex):
     """V_u^H M[u,v] V_v for a subdivided M[u,v], M = op or op^T if trans."""
     got = memo.get((u, v))
     if got is not None:
@@ -435,10 +482,10 @@ def _family(op, u, v, trans, memo):
         # half F_ij = V_ui^H M[ui,vj] V_vj lifted into (u, v) by its transfers
         rights = list(zip(op.tree.cluster(v).children(), basis.transfers[v]))
         out = None
-        for ui, t_u in zip(op.tree.cluster(u).children(), basis.transfers_conj(u)):
+        for ui, t_u in zip(op.tree.cluster(u).children(), ex.t_conj(u)):
             row = None
             for vj, t_v in rights:
-                f = _half(op, ui, vj, True, True, trans, memo) @ t_v
+                f = _half(op, ui, vj, True, True, trans, memo, ex) @ t_v
                 row = f if row is None else row + f
             row = t_u.T @ row
             out = row if out is None else out + row
@@ -446,30 +493,29 @@ def _family(op, u, v, trans, memo):
     return out
 
 
-def _half(op, u, v, frame, contract, trans, memo):
+def _half(op, u, v, frame, contract, trans, memo, ex):
     """M[u,v] in the left frame (V_u^H if frame), M = op or op^T if trans.
 
-    With contract the inner cluster v is joined: overlap(v) after an
+    With contract the inner cluster v is joined: V_v^T V_v after an
     admissible block, V_v after any other. memo holds the families of one
-    operand side.
+    operand side, ex the call's explicit bases.
     """
-    basis = op.basis
     key = (v, u) if trans else (u, v)
     kind = op.btree.kind(key)
     if kind == cl.ADMISSIBLE:
         h = op.coupling[key].T if trans else op.coupling[key]
         if not frame:
-            h = basis.materialize(u) @ h
-        return h @ basis.overlap(v) if contract else h
+            h = ex.v(u) @ h
+        return h @ ex.vtv(v) if contract else h
     if kind == cl.INADMISSIBLE:
         h = op.dense[key].T if trans else op.dense[key]
         if frame:
-            h = basis.materialize_conj(u).T @ h
-        return h @ basis.materialize(v) if contract else h
+            h = ex.v_conj(u).T @ h
+        return h @ ex.v(v) if contract else h
     # subdivided, so u is no leaf and the frame is V_u^H
     if contract:
-        return _family(op, u, v, trans, memo)
-    return _block_apply(op, u, v, basis.materialize_conj(u), trans).T
+        return _family(op, u, v, trans, memo, ex)
+    return _block_apply(op, u, v, ex.v_conj(u), trans, ex).T
 
 
 def _merge(payloads, key, core):
@@ -512,10 +558,10 @@ def _add_products(c, a, b, work, sign):
                         raise ValueError("product targets must be C-contiguous complex blocks")
                 x = x_of.get(t)
                 if x is None:
-                    x = x_of[t] = _half(a, t, s, frame, b_basis, False, a_fam)
+                    x = x_of[t] = _half(a, t, s, frame, b_basis, False, a_fam, c.explicit)
                 yt = yt_of.get(r)
                 if yt is None:
-                    yt = yt_of[r] = _half(b, r, s, frame, y_contract, True, b_fam)
+                    yt = yt_of[r] = _half(b, r, s, frame, y_contract, True, b_fam, c.explicit)
                 if leaf:
                     # Y^T and X go in by their own layouts, so f2py copies
                     # neither when it is contiguous
@@ -543,14 +589,14 @@ def _flush_pending(c, pending, upper):
     split into its upper children (ti <= rj) only.
     """
     tree = c.tree
-    basis = c.basis
+    basis, ex = c.basis, c.explicit
     for level, payloads in enumerate(pending):
         for (t, r), core in payloads.items():
             kind = c.btree.kind((t, r))
             if kind == cl.ADMISSIBLE:
                 c.coupling[(t, r)] += core
             elif kind == cl.INADMISSIBLE:
-                c.dense[(t, r)] += basis.materialize(t) @ core @ basis.materialize(r).T
+                c.dense[(t, r)] += ex.v(t) @ core @ ex.v(r).T
             else:
                 rights = list(zip(tree.cluster(r).children(), basis.transfers[r]))
                 for ti, tr_t in zip(tree.cluster(t).children(), basis.transfers[t]):

@@ -118,6 +118,13 @@ class NestedBasis:
     are the only store of the bases: leaf_v[c] and both transfers[c] are
     views of their own rows and columns of a stack, so their nbytes are
     the logical sizes, without the padding.
+
+    It holds tree, ranks, leaf_v, transfers and schedule, and nothing
+    else. Like the cluster trees it is never changed after construction,
+    so an operator, its copies, its inverse and its products share one.
+    Whatever is derived from it, such as an explicit basis V_c, is formed
+    per call and belongs to the caller: h2vie.arith memoizes its own for
+    one product or inverse and drops them when the call returns.
     """
 
     def __init__(self, tree, mats):
@@ -125,10 +132,6 @@ class NestedBasis:
         self.ranks = {cid: u.shape[1] for cid, u in mats.items()}
         self.leaf_v = {}
         self.transfers = {}  # cid -> (T_child_lo, T_child_hi), views into a stack
-        self._mat = {}  # materialization cache
-        self._mat_conj = {}  # conj(V) cache
-        self._transfers_conj = {}  # cid -> (conj(T_lo), conj(T_hi)) cache
-        self._overlap = {}  # V^T V cache (needed by formatted products)
         slot = [max(self.ranks[cid] for cid in level) for level in tree.levels]
         spans = [None] * len(tree)
         first = []  # first rank-space row of each level
@@ -170,61 +173,33 @@ class NestedBasis:
         return self.ranks[cid]
 
     def apply_vh(self, cid, x):
-        """V_c^H @ x without materializing non-leaf bases."""
+        """V_c^H @ x without materializing non-leaf bases, conjugating as it goes."""
         c = self.tree.cluster(cid)
         if c.is_leaf:
-            return self.materialize_conj(cid).T @ x
+            return self.leaf_v[cid].conj().T @ x
         lo, hi = c.children()
-        t_lo, t_hi = self.transfers_conj(cid)
+        t_lo, t_hi = self.transfers[cid]
         n_lo = self.tree.cluster(lo).size
-        return t_lo.T @ self.apply_vh(lo, x[:n_lo]) + t_hi.T @ self.apply_vh(hi, x[n_lo:])
+        return (t_lo.conj().T @ self.apply_vh(lo, x[:n_lo])
+                + t_hi.conj().T @ self.apply_vh(hi, x[n_lo:]))
 
     def materialize(self, cid):
-        """Explicit (#c, k_c) basis matrix, cached."""
-        got = self._mat.get(cid)
-        if got is not None:
-            return got
-        c = self.tree.cluster(cid)
-        if c.is_leaf:
-            v = self.leaf_v[cid]
-        else:
-            lo, hi = c.children()
-            t_lo, t_hi = self.transfers[cid]
-            v = np.vstack(
-                [self.materialize(lo) @ t_lo, self.materialize(hi) @ t_hi]
-            )
-        self._mat[cid] = v
+        """Explicit (#c, k_c) basis matrix V_c, formed anew on each call."""
+        return self._explicit(cid, {})
+
+    def _explicit(self, cid, memo):
+        """V_c = [V_lo T_lo; V_hi T_hi], taking and leaving each V of c's subtree in memo."""
+        v = memo.get(cid)
+        if v is None:
+            c = self.tree.cluster(cid)
+            if c.is_leaf:
+                v = self.leaf_v[cid]
+            else:
+                lo, hi = c.children()
+                t_lo, t_hi = self.transfers[cid]
+                v = np.vstack([self._explicit(lo, memo) @ t_lo, self._explicit(hi, memo) @ t_hi])
+            memo[cid] = v
         return v
-
-    def materialize_conj(self, cid):
-        """conj(V_c), cached."""
-        got = self._mat_conj.get(cid)
-        if got is None:
-            got = self._mat_conj[cid] = self.materialize(cid).conj()
-        return got
-
-    def transfers_conj(self, cid):
-        """(conj(T_lo), conj(T_hi)) of a non-leaf, cached."""
-        got = self._transfers_conj.get(cid)
-        if got is None:
-            got = self._transfers_conj[cid] = tuple(t.conj() for t in self.transfers[cid])
-        return got
-
-    def overlap(self, cid):
-        """V_c^T V_c (not conjugated), cached; identity only for real bases."""
-        got = self._overlap.get(cid)
-        if got is not None:
-            return got
-        c = self.tree.cluster(cid)
-        if c.is_leaf:
-            v = self.leaf_v[cid]
-            m = v.T @ v
-        else:
-            lo, hi = c.children()
-            t_lo, t_hi = self.transfers[cid]
-            m = t_lo.T @ self.overlap(lo) @ t_lo + t_hi.T @ self.overlap(hi) @ t_hi
-        self._overlap[cid] = m
-        return m
 
 
 def _row_owner(parts):
@@ -546,8 +521,7 @@ def build_coupling(btree, abs_map, basis, tree, dtype=np.complex128):
     H2Matrix keeps as that block row's buffer when `dtype` is its payload
     dtype. Keys come in btree.admissible order, which fixes the summation
     order of each row. tree goes unused: each factor names its own
-    partners and their rows. The conjugate bases that apply_vh caches are
-    dropped on return, since nothing in the apply reads them.
+    partners and their rows.
     """
     coupling = {}
     for t, partners in sorted(btree.partners.items()):
@@ -562,8 +536,6 @@ def build_coupling(btree, abs_map, basis, tree, dtype=np.complex128):
             s_ts = coupling[(t, s)]
             np.matmul(proj_a[t], vb_t.T, out=s_ts)
             coupling[(s, t)][...] = s_ts.T
-    basis._mat_conj.clear()
-    basis._transfers_conj.clear()
     return coupling
 
 
@@ -625,8 +597,9 @@ def materialize(h2):
     tree = h2.tree
     for (t, s), d in h2.dense.items():
         out[np.ix_(tree.indices(t), tree.indices(s))] = d
+    mats = {}  # each cluster's explicit basis, formed once for this call
     for (t, s), smat in h2.coupling.items():
-        block = h2.basis.materialize(t) @ smat @ h2.basis.materialize(s).T
+        block = h2.basis._explicit(t, mats) @ smat @ h2.basis._explicit(s, mats).T
         out[np.ix_(tree.indices(t), tree.indices(s))] = block
     return out
 

@@ -486,18 +486,65 @@ class TestBuildH2:
         build.build_h2(geom, kernel.KernelParams(k0=K0), CompressionParams(1e-4, 1e-4), n_min=8)
         assert alive == [False]
 
-    def test_conjugate_caches_dropped_after_build(self):
-        # build_coupling's projections fill the conjugate basis caches; the
-        # operator returns without them, and an inverse that refills them
-        # lazily is the inverse formed with them already filled, bit for bit
-        geom = kernel.generate_geometry("slab", [2.0, 2.0], 10, K0)
+    def test_basis_holds_its_fields_only(self, slab22, rng):
+        # NestedBasis is fixed after construction: applies, inverses,
+        # products and copies derive what they need per call and leave the
+        # shared basis with the same five objects and the same bytes
+        _, _, h2, _ = slab22
+        basis = h2.basis
+        fields = dict(vars(basis))
+        assert set(fields) == {"tree", "ranks", "leaf_v", "transfers", "schedule"}
+
+        def stacks():
+            return [stack.tobytes() for *_, stack in basis.schedule.steps]
+
+        before = stacks(), dict(basis.ranks)
+        x = rng.standard_normal((h2.n, 3)) + 1j * rng.standard_normal((h2.n, 3))
+        arith.matvec(h2, x[:, 0])
+        arith.matmat_apply(h2, x)
+        inv = arith.h2_invert(h2)
+        arith.h2_mul_formatted(h2, inv)
+        h2.copy()
+        assert vars(basis).keys() == fields.keys()
+        assert all(vars(basis)[k] is v for k, v in fields.items())
+        assert (stacks(), dict(basis.ranks)) == before
+
+    @pytest.mark.parametrize("shape, extent, n_min", [
+        ("rod", [409.6], 32), ("cube_array", [3, 2, 2], 16), ("slab", [3.5, 3.5], 32)])
+    def test_arithmetic_leaves_no_memory_behind(self, shape, extent, n_min):
+        # the explicit bases, their conjugates and the overlaps that the
+        # inverse and the product form die with the call: once both return
+        # and their results are deleted, the operator holds what it held.
+        # numpy keeps freed buffers of up to 1024 bytes for reuse, a
+        # process cache of a few kB that grows as new sizes come, so the
+        # count covers the traced blocks above that size
+        geom = kernel.generate_geometry(shape, extent, 10, K0)
         h2 = build.build_h2(geom, kernel.KernelParams(k0=K0), CompressionParams(1e-4, 1e-4),
-                            n_min=16)
-        assert not h2.basis._mat_conj and not h2.basis._transfers_conj
+                            n_min=n_min)
+        arith.matvec(h2, np.ones(h2.n, dtype=complex))  # warm-up: keeps the q = 1 panel plan
+        gc.collect()
+
+        def held():
+            return sum(t.size for t in tracemalloc.take_snapshot().traces if t.size > 1024)
+
+        tracemalloc.start()
+        try:
+            before = held()
+            inv = arith.h2_invert(h2)
+            prod = arith.h2_mul_formatted(h2, inv)
+            del inv, prod
+            gc.collect()
+            grown = held() - before
+        finally:
+            tracemalloc.stop()
+        assert grown <= 0.02 * h2.storage_bytes(), grown
+
+    def test_inverses_of_one_operator_are_bitwise_equal(self, slab22):
+        _, _, h2, _ = slab22
         first = arith.h2_invert(h2)
-        assert h2.basis._mat_conj and h2.basis._transfers_conj
         again = arith.h2_invert(h2)
         for blocks, ref in ((first.coupling, again.coupling), (first.dense, again.dense)):
+            assert blocks.keys() == ref.keys()
             assert all(np.array_equal(p, ref[k]) for k, p in blocks.items())
 
     def test_rep_error_shape_guard(self, rod164):
