@@ -29,6 +29,12 @@ private copy (_Blocks) with one array per block and no apply rows. _pack
 then moves its blocks into the returned H2Matrix one block row at a time,
 dropping each block as its row is built, so the result never holds two
 copies of its payload.
+The shared NestedBasis holds its level stacks only. The explicit bases
+V_c, their conjugates, the conjugate transfers and the overlaps V_c^T V_c
+that the product's frames need are the call's own data: each h2_invert or
+h2_mul_formatted memoizes them in one _Explicit that its working copies
+share, and drops it on return, so an operator holds the same memory
+before and after any number of inverses and products.
 If the input is complex symmetric bit for bit (every block equals its
 mirror's transpose, as build_h2's operators are), the inverse runs a
 symmetric recursion with one rule for every symmetric block it writes:
@@ -421,7 +427,7 @@ def h2_add_formatted(target, addend, sign=1):
 #   admissible  S or V_u S, keeping V_v^T on the inner side
 #   dense       V_u^H D or D
 #   subdivided  V_u^H M[u,v] (u is no leaf, so the frame is V_u^H)
-# With `contract` the half also takes the inner cluster v = s: overlap(s) =
+# With `contract` the half also takes the inner cluster v = s: the overlap
 # V_s^T V_s after an admissible block, V_s after any other; a subdivided
 # block so contracted is its family (below). s is contracted exactly once:
 # into X when Y keeps a basis, into Y when only X keeps one. No projector is
@@ -437,6 +443,14 @@ def h2_add_formatted(target, addend, sign=1):
 # one zgemm. A subdivided target takes it as the payload V_t (X @ Y) V_r^T,
 # merged per node; _flush_pending lands the merged payloads top down,
 # splitting them through the transfer matrices on the way, exactly.
+#
+# Explicit bases. The explicit V_c, their conjugates, the conjugate
+# transfers and the overlaps V_c^T V_c that the frames and contractions
+# need belong to the call: every _Blocks of one h2_invert or
+# h2_mul_formatted carries the same _Explicit, and _add_products and
+# _flush_pending take it from their target C and hand it to the helpers
+# as `ex`. Each is formed once per call, since the product reuses them
+# across inner clusters and recursion levels, and none outlives the call.
 #
 # Both helpers below take (op, u, v, ..., trans) with the meaning of _half.
 # _block_apply slices the basis top-down; _family lifts bottom-up through

@@ -25,7 +25,11 @@ bases; inadmissible leaf blocks stay dense. Every rank in the build is
 chosen by linalg.truncated_svd. Stage II hands its leaf bases and
 transfers to NestedBasis once, which writes each into its slot of the
 zero-padded per-level stacks that the apply multiplies by: those stacks
-are the only copy of the bases.
+are the only copy of the bases. NestedBasis holds the stacks, the ranks
+and the slot layout and nothing else, and is never changed after
+construction, so it is shared like the cluster trees. What is derived
+from it, such as an explicit basis V_c, is formed per call by the code
+that needs it and dropped when that call returns.
 
 The shared form V_t S_{t,s} V_s^T needs the columns of S_{t,s}, that is
 the rows of S_{s,t}^T = diag(chi_s) K_{s,t}, to lie in span(V_s). Only a
