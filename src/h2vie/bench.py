@@ -22,6 +22,9 @@ from .linalg import CompressionParams
 
 # Extents are in wavelengths, so the model has no length scale: k0 is fixed.
 K0 = 2.0 * np.pi
+_TIMING_REPEATS = 5  # batches that median_time times
+_TIMING_BATCH_S = 1e-3  # median_time's shortest batch
+_RESIDUAL_PROBES = 20  # unit vectors that inverse_residual_estimate applies
 
 
 @dataclass
@@ -92,19 +95,23 @@ def parse_csv(path):
         return [BenchRecord(*map(_cell, fields(BenchRecord), row)) for row in reader]
 
 
-def median_time(fn, repeats=5, min_time=1e-3):
-    """Median wall time of fn(), auto-batching when a call is under min_time."""
+def median_time(fn):
+    """Median wall time of one fn() call over 5 timed batches.
+
+    Each batch runs fn() as often as it takes to fill 1 ms, so a fast call
+    is not timed below the clock's resolution.
+    """
     inner = 1
     while True:
         t0 = time.perf_counter()
         for _ in range(inner):
             fn()
         dt = time.perf_counter() - t0
-        if dt >= min_time or inner >= 1 << 16:
+        if dt >= _TIMING_BATCH_S or inner >= 1 << 16:
             break
-        inner *= max(2, int(min_time / max(dt, 1e-9)))
+        inner *= max(2, int(_TIMING_BATCH_S / max(dt, 1e-9)))
     times = []
-    for _ in range(repeats):
+    for _ in range(_TIMING_REPEATS):
         t0 = time.perf_counter()
         for _ in range(inner):
             fn()
@@ -123,7 +130,7 @@ def _geometry_extent(cfg, size):
 def _build(cfg, extent):
     geom = kernel.generate_geometry(cfg.shape, extent, cfg.vpw, K0)
     kp = kernel.KernelParams(k0=K0, eps_r=cfg.eps_r)
-    cp = CompressionParams(cfg.eps_aca, cfg.eps_acc)
+    cp = CompressionParams(cfg.eps_acc, cfg.eps_acc)
     t0 = time.perf_counter()
     h2 = build.build_h2(geom, kp, cp, n_min=cfg.n_min, eta=cfg.eta)
     build_s = time.perf_counter() - t0
@@ -163,13 +170,13 @@ def _timed_invert(h2):
     return inv, time.perf_counter() - t0
 
 
-def inverse_residual_estimate(h2, inv, rng, samples=20):
-    """max over random unit vectors of || v - S (S^{-1} v) ||_2.
+def inverse_residual_estimate(h2, inv, rng):
+    """max over 20 random unit vectors v of || v - S (S^{-1} v) ||_2.
 
     The probes are drawn one after another and applied as one block.
     """
-    probes = np.empty((h2.n, samples), dtype=np.complex128)
-    for j in range(samples):
+    probes = np.empty((h2.n, _RESIDUAL_PROBES), dtype=np.complex128)
+    for j in range(_RESIDUAL_PROBES):
         v = rng.standard_normal(h2.n) + 1j * rng.standard_normal(h2.n)
         probes[:, j] = v / np.linalg.norm(v)
     w = arith.matmat_apply(h2, arith.matmat_apply(inv, probes))

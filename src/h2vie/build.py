@@ -543,8 +543,11 @@ def build_coupling(btree, abs_map, basis, tree, dtype=np.complex128):
     return coupling
 
 
-def build_h2(geom, kparams, cparams=None, n_min=32, eta=1.0):
+def build_h2(geom, kparams, cparams, n_min=32, eta=1.0):
     """Assemble the full nested representation of the system matrix.
+
+    cparams (CompressionParams) is required: its tolerances set every rank
+    and its eps_acc the payload precision, so no accuracy is assumed.
 
     Raises ValueError naming the first voxel whose eps_r differs from
     voxel 0's: the shared bases hold for a uniform contrast only. A
@@ -556,7 +559,6 @@ def build_h2(geom, kparams, cparams=None, n_min=32, eta=1.0):
     if odd.size:
         raise ValueError(f"build_h2 needs a uniform eps_r: voxel {odd[0]} has "
                          f"{eps_r[odd[0]]}, voxel 0 has {eps_r[0]}")
-    cparams = cparams or CompressionParams()
     tree = cl.ClusterTree(geom.centers, n_min)
     btree = cl.build_block_tree(tree, eta)
     abs_map = build_all_cluster_ab(tree, btree, oracle, cparams)
@@ -567,7 +569,7 @@ def build_h2(geom, kparams, cparams=None, n_min=32, eta=1.0):
     return H2Matrix(tree, btree, basis, coupling, dense, cparams)
 
 
-def _near_field(tree, btree, oracle, dtype=np.complex128):
+def _near_field(tree, btree, oracle, dtype):
     """Dense inadmissible leaves, one oracle call per block row's upper part.
 
     Returns (t, s) -> (#t, #s) views into the row [S_{t,s1} | S_{t,s2} | ...]

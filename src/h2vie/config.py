@@ -24,8 +24,7 @@ class ExperimentConfig:
     eps_r: complex = 2.54
     n_min: int = 32
     eta: float = 1.0
-    eps_aca: float = 1e-4
-    eps_acc: float = 1e-4
+    eps_acc: float = 1e-4  # the one compression accuracy: ACA stop and SVD trims
     solver: str = "both"  # iterative | direct | both
     tol: float = 1e-3
     max_iter: int = 200
@@ -39,7 +38,7 @@ class ExperimentConfig:
     svd_eps: float = 1e-5
 
     def __post_init__(self):
-        for name in ("eps_aca", "eps_acc", "tol"):
+        for name in ("eps_acc", "tol"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise ValueError(f"{name} must be in (0, 1)")

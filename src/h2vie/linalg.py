@@ -75,14 +75,17 @@ SINGLE_PAYLOAD_EPS = 1e-4
 class CompressionParams:
     """Tolerances for the two-step compression (cross approximation + SVD trim).
 
-    They also fix the precision of the stored couplings and near field,
-    payload_dtype: complex64 when eps_acc >= 1e-4, complex128 below. The
-    build, the bases, the sweeps of the apply and the formatted arithmetic
-    work in complex128 either way.
+    Both tolerances are required: eps_aca stops the cross approximation,
+    eps_acc sets every SVD trim, and every caller in the package passes the
+    one accuracy as both. max_rank caps the rank of every Stage I factor.
+    eps_acc also fixes the precision of the stored couplings and near
+    field, payload_dtype: complex64 when eps_acc >= 1e-4, complex128 below.
+    The build, the bases, the sweeps of the apply and the formatted
+    arithmetic work in complex128 either way.
     """
 
-    eps_aca: float = 1e-5
-    eps_acc: float = 1e-5
+    eps_aca: float
+    eps_acc: float
     max_rank: int = 200
 
     def __post_init__(self):
@@ -104,7 +107,7 @@ def empty_factor(m, n):
     )
 
 
-def aca_factorize(oracle, shape, eps_aca, max_rank=None):
+def aca_factorize(oracle, shape, eps_aca, max_rank):
     """Partially pivoted adaptive cross approximation of a sampled block.
 
     oracle(rows, cols) must return the dense sub-block for integer index
@@ -120,17 +123,16 @@ def aca_factorize(oracle, shape, eps_aca, max_rank=None):
     residual row or column is one GEMV against the factors so far and the
     Frobenius cross term is two more; no Python loop runs over the crosses.
 
+    max_rank is the rank cap, CompressionParams.max_rank in the build.
     Raises AcaRankExceeded (a copy of the partial factorization attached)
     if max_rank crosses are accumulated without meeting the stopping rule.
     """
     m, n = shape
     if m <= 0 or n <= 0:
         raise ValueError("index sets must be non-empty")
-    if max_rank is not None and max_rank < 1:
+    if max_rank < 1:
         raise ValueError("max_rank must be >= 1")
     full = min(m, n)
-    if max_rank is None:
-        max_rank = min(full, 200)
     cap = min(max_rank, full)
 
     all_cols = np.arange(n)

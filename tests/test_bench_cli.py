@@ -106,13 +106,13 @@ class TestCsv:
 
 class TestTiming:
     def test_median_time_positive_for_fast_fn(self):
-        t = bench.median_time(lambda: None, repeats=3)
+        t = bench.median_time(lambda: None)
         assert t > 0
 
     def test_median_time_reflects_sleep(self):
         import time
 
-        t = bench.median_time(lambda: time.sleep(0.002), repeats=3)
+        t = bench.median_time(lambda: time.sleep(0.002))
         assert 0.001 < t < 0.1
 
 
@@ -220,6 +220,22 @@ class TestRunners:
         assert bench.read_solution(cfg.solution_out).size == 54
         assert parse_csv(cfg.out)[0].lam == 2.0
 
+    def test_solve_builds_at_the_one_accuracy(self, tmp_path, monkeypatch):
+        seen = []
+        build_h2 = build.build_h2
+
+        def spy(geom, kparams, cparams, **kwargs):
+            seen.append(cparams)
+            return build_h2(geom, kparams, cparams, **kwargs)
+
+        monkeypatch.setattr(build, "build_h2", spy)
+        cfg = ExperimentConfig(
+            shape="rod", extent=[3.2], n_min=8, eps_acc=1e-3, solver="iterative",
+            out=str(tmp_path / "s.csv"), solution_out=str(tmp_path / "sol.txt"),
+        )
+        bench.run_solve(cfg)
+        assert seen == [CompressionParams(cfg.eps_acc, cfg.eps_acc)]
+
     def test_solve_both_reports_discrepancy(self, tmp_path):
         cfg = ExperimentConfig(
             shape="rod", extent=[16.4], vpw=10, n_min=16, solver="both",
@@ -304,6 +320,16 @@ class TestCli:
         for key in ("bogus", "lambda0"):  # lengths are in wavelengths: no lambda0
             assert main(["solve", "--set", f"{key}=1"]) == 1
             assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    def test_second_accuracy_key_refused(self, tmp_path, capsys):
+        # eps_acc is the one compression accuracy: eps_aca is an unknown key
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("eps_aca = 1e-4\n")
+        for args in (["--config", str(cfg)], ["--set", "eps_aca=1e-4"]):
+            assert main(["solve", *args]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ")
+            assert "unknown config key 'eps_aca'" in err and "eps_acc" in err
 
     def test_nmin_below_two_exit_code(self, tmp_path, capsys):
         rc = main([

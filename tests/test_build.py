@@ -89,6 +89,7 @@ class TestStageOne:
                     lambda r, c, rows=rows, cols=cols: oracle(rows[r], cols[c]),
                     (rows.size, cols.size),
                     params.eps_aca,
+                    params.max_rank,
                 )
                 per_block += recompress_lowrank(f, params.eps_acc).rank
             assert abs_map[cid].rank <= per_block
@@ -226,7 +227,7 @@ class TestOneSidedSampling:
             return oracle(rows, cols)
 
         build.build_all_cluster_ab(tree, btree, counting, params)
-        build._near_field(tree, btree, counting)
+        build._near_field(tree, btree, counting, np.complex128)
         assert calls and all(calls)
 
     def test_near_field_samples_each_pair_once(self):
@@ -238,7 +239,7 @@ class TestOneSidedSampling:
             entries.append(out.size)
             return out
 
-        dense = build._near_field(tree, btree, counting)
+        dense = build._near_field(tree, btree, counting, np.complex128)
         size = [c.size for c in tree.clusters]
         assert sum(entries) == sum(size[t] * size[s] for t, s in btree.inadmissible if t <= s)
         assert len(entries) == len({t for t, _ in btree.inadmissible})  # one per block row

@@ -37,12 +37,12 @@ def _green_block(n_side, dist, k0):
 class TestAca:
     def test_rank_one_is_exact(self, rng):
         m = np.outer(_random_complex(rng, 12), _random_complex(rng, 9))
-        f = aca_factorize(dense_oracle(m), m.shape, 1e-12)
+        f = aca_factorize(dense_oracle(m), m.shape, 1e-12, 200)
         assert f.rank == 1
         assert np.linalg.norm(f.to_dense() - m) <= 1e-13 * np.linalg.norm(m)
 
     def test_zero_matrix_gives_empty_factor(self):
-        f = aca_factorize(dense_oracle(np.zeros((7, 5), complex)), (7, 5), 1e-6)
+        f = aca_factorize(dense_oracle(np.zeros((7, 5), complex)), (7, 5), 1e-6, 200)
         assert f.rank == 0
         assert f.a.shape == (7, 0) and f.b.shape == (5, 0)
         assert np.all(f.to_dense() == 0)
@@ -57,6 +57,7 @@ class TestAca:
             lambda r, c: kernel.assemble_block(geom, params, rows[r], cols[c]),
             (64, 64),
             1e-5,
+            200,
         )
         f = recompress_lowrank(f, 1e-5)
         assert f.rank <= svd_rank + 2
@@ -65,7 +66,7 @@ class TestAca:
         # first rows identically zero: pivot search must move on
         m = np.zeros((8, 6), dtype=complex)
         m[5] = _random_complex(rng, 6)
-        f = aca_factorize(dense_oracle(m), m.shape, 1e-12)
+        f = aca_factorize(dense_oracle(m), m.shape, 1e-12, 200)
         assert f.rank == 1
         assert np.linalg.norm(f.to_dense() - m) <= 1e-13 * np.linalg.norm(m)
 
@@ -86,7 +87,7 @@ class TestAca:
 
     def test_full_rank_small_block_terminates(self, rng):
         m = _random_complex(rng, (6, 6))
-        f = aca_factorize(dense_oracle(m), m.shape, 1e-12)
+        f = aca_factorize(dense_oracle(m), m.shape, 1e-12, 200)
         assert np.linalg.norm(f.to_dense() - m) <= 1e-10 * np.linalg.norm(m)
 
     @pytest.mark.parametrize("n_side", [4, 5])
@@ -100,6 +101,7 @@ class TestAca:
             lambda r, c: kernel.assemble_block(geom, params, rows[r], cols[c]),
             block.shape,
             eps,
+            200,
         )
         f = recompress_lowrank(f, eps)
         err = np.linalg.norm(f.to_dense() - block) / np.linalg.norm(block)
@@ -139,6 +141,7 @@ class TestRecompress:
             lambda r, c: kernel.assemble_block(geom, params, rows[r], cols[c]),
             (64, 64),
             1e-6,
+            200,
         )
         once = recompress_lowrank(f, 1e-4)
         twice = recompress_lowrank(once, 1e-4)
